@@ -2,8 +2,8 @@
 //!
 //! The paper proposes two concrete defenses — selective traffic filtering
 //! and on-device transcription — but does not evaluate them. This module
-//! closes that loop: run the audit once undefended and once per defense,
-//! then compare the observable record:
+//! closes that loop by comparing the undefended observable record against
+//! the record each defense would leave:
 //!
 //! * **Firewall**: advertising & tracking traffic should vanish while every
 //!   functional third-party flow survives ("blocking without breaking");
@@ -16,72 +16,81 @@
 
 use crate::analysis::bids;
 use crate::analysis::traffic;
-use crate::experiment::{apply_defense, DefenseMode};
+use crate::experiment::{DefenseMode, DefenseRules};
 use crate::index::AnalysisIndex;
-use crate::observations::Observations;
 use crate::persona::Persona;
 use alexa_net::DataType;
 use std::fmt::Write as _;
 
-/// Derive the observable record of a defended run from the undefended
-/// baseline, without re-executing the pipeline.
-///
-/// This is exact, not an approximation. Every defense in [`DefenseMode`] is
-/// a pure per-packet transform applied at the tap boundary
-/// ([`apply_defense`]) — the engine calls it on each outgoing batch right
-/// before the capture tap, at every capture site (router and AVS). Nothing
-/// upstream of the tap reads the defense mode: skill execution, the crawl,
-/// the profiler, audio sessions, and DSAR exports all run identically (and
-/// consume the RNG identically) regardless of defense. So a defended run's
-/// observations are, by construction, the baseline observations with
-/// `apply_defense` mapped over every captured packet batch; crawl, audio,
-/// DSAR, policies, catalog, org map, and coverage carry over unchanged.
-/// A digest-equality test against a genuinely re-executed defended run
-/// enforces this equivalence.
-pub fn derive_defended(baseline: &Observations, defense: DefenseMode) -> Observations {
-    let mut obs = baseline.clone();
-    for caps in obs.router_captures.values_mut() {
-        for cap in caps.iter_mut() {
-            cap.packets = apply_defense(defense, std::mem::take(&mut cap.packets));
-        }
-    }
-    for cap in &mut obs.avs_captures {
-        cap.packets = apply_defense(defense, std::mem::take(&mut cap.packets));
-    }
-    obs
+/// The aggregates a [`DefenseReport`] compares, read from one run.
+#[derive(Debug, Clone, Copy)]
+pub struct DefenseView {
+    /// A&T traffic share (Table 2's total).
+    pub ad_tracking_share: f64,
+    /// Third-party A&T domains (Table 3's A&T column, summed).
+    pub ad_tracking_domains: usize,
+    /// Third-party functional domains (Table 3's functional column, summed).
+    pub functional_domains: usize,
+    /// Voice-recording records in the AVS plaintext captures.
+    pub voice_flows: usize,
+    /// Text-command records in the AVS plaintext captures.
+    pub text_flows: usize,
+    /// Strongest interest persona's median CPM over vanilla's (Table 5).
+    pub bid_uplift: f64,
 }
 
-/// Comparison of one defended run against the undefended baseline.
+/// The aggregates the indexed run would show under each of `defenses`,
+/// computed from the index alone.
+///
+/// Exact, not an approximation: every defense is a pure per-packet rule at
+/// the tap boundary (`DefenseRules`), and nothing upstream of the tap reads
+/// the defense mode. So each aggregate evaluates the same rules: the
+/// firewall verdict depends only on a packet's remote (judged once per
+/// distinct host, and once per AVS packet), text-only retypes AVS records
+/// without changing any packet count, and no defense touches the crawl, so
+/// every view shares the run's bid uplift. `DefenseMode::None` reads the
+/// run as captured; tests hold the view of each mode over a baseline to the
+/// `None` view of a run executed with that mode.
+pub fn views<const N: usize>(ix: &AnalysisIndex, defenses: [DefenseMode; N]) -> [DefenseView; N] {
+    let bid_uplift = max_median_uplift(ix);
+    defenses.map(|defense| {
+        let rules = DefenseRules::new(defense);
+        let admitted: Vec<bool> = ix.host_domains.iter().map(|d| rules.admits(d)).collect();
+        let keep = |host: u32| admitted[host as usize];
+        let t3 = traffic::table3_where(ix, keep);
+        let (voice_flows, text_flows) = voice_and_text_flows(ix, &rules);
+        DefenseView {
+            ad_tracking_share: traffic::table2_where(ix, keep).total_ad_tracking,
+            ad_tracking_domains: t3.rows.iter().map(|r| r.1).sum(),
+            functional_domains: t3.rows.iter().map(|r| r.2).sum(),
+            voice_flows,
+            text_flows,
+            bid_uplift,
+        }
+    })
+}
+
+/// Comparison of one defended view against the undefended baseline's.
 #[derive(Debug, Clone)]
 pub struct DefenseReport {
     /// Name of the defense evaluated.
     pub defense: String,
-    /// A&T traffic share, baseline → defended.
-    pub ad_tracking_share: (f64, f64),
-    /// Distinct third-party A&T domains observed, baseline → defended.
-    pub ad_tracking_domains: (usize, usize),
-    /// Distinct functional third-party domains observed, baseline →
-    /// defended (must not shrink: the defense must not break skills).
-    pub functional_domains: (usize, usize),
-    /// Voice-recording flows observed in plaintext captures, baseline →
-    /// defended.
-    pub voice_flows: (usize, usize),
-    /// Text-command flows observed, baseline → defended.
-    pub text_flows: (usize, usize),
-    /// Median CPM uplift of the strongest interest persona over vanilla,
-    /// baseline → defended (server-side profiling is out of the defense's
-    /// reach, so this should *not* drop).
-    pub bid_uplift: (f64, f64),
+    /// The undefended run.
+    pub baseline: DefenseView,
+    /// The run under the defense. Functional domains must not shrink (the
+    /// defense must not break skills); bid uplift should *not* drop
+    /// (server-side profiling is out of a network defense's reach).
+    pub defended: DefenseView,
 }
 
-fn voice_and_text_flows(ix: &AnalysisIndex) -> (usize, usize) {
+fn voice_and_text_flows(ix: &AnalysisIndex, rules: &DefenseRules) -> (usize, usize) {
     let mut voice = 0;
     let mut text = 0;
     for cap in &ix.obs.avs_captures {
-        for p in &cap.packets {
+        for p in cap.packets.iter().filter(|p| rules.admits(&p.remote)) {
             if let Some(records) = p.payload.records() {
                 for r in records {
-                    match r.data_type {
+                    match rules.sent_type(r.data_type) {
                         DataType::VoiceRecording => voice += 1,
                         DataType::TextCommand => text += 1,
                         _ => {}
@@ -91,13 +100,6 @@ fn voice_and_text_flows(ix: &AnalysisIndex) -> (usize, usize) {
         }
     }
     (voice, text)
-}
-
-fn third_party_domains(ix: &AnalysisIndex) -> (usize, usize) {
-    let t3 = traffic::table3(ix);
-    let at = t3.rows.iter().map(|r| r.1).sum();
-    let functional = t3.rows.iter().map(|r| r.2).sum();
-    (at, functional)
 }
 
 fn max_median_uplift(ix: &AnalysisIndex) -> f64 {
@@ -115,23 +117,12 @@ fn max_median_uplift(ix: &AnalysisIndex) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Compare a defended run against the undefended baseline.
-pub fn compare(defense: &str, baseline: &AnalysisIndex, defended: &AnalysisIndex) -> DefenseReport {
-    let (base_at, base_fn) = third_party_domains(baseline);
-    let (def_at, def_fn) = third_party_domains(defended);
-    let (base_voice, base_text) = voice_and_text_flows(baseline);
-    let (def_voice, def_text) = voice_and_text_flows(defended);
+/// Compare a defended view against the undefended baseline's.
+pub fn compare(defense: &str, baseline: DefenseView, defended: DefenseView) -> DefenseReport {
     DefenseReport {
         defense: defense.to_string(),
-        ad_tracking_share: (
-            traffic::table2(baseline).total_ad_tracking,
-            traffic::table2(defended).total_ad_tracking,
-        ),
-        ad_tracking_domains: (base_at, def_at),
-        functional_domains: (base_fn, def_fn),
-        voice_flows: (base_voice, def_voice),
-        text_flows: (base_text, def_text),
-        bid_uplift: (max_median_uplift(baseline), max_median_uplift(defended)),
+        baseline,
+        defended,
     }
 }
 
@@ -148,18 +139,18 @@ impl DefenseReport {
                text-command flows:         {} -> {}\n\
                max median bid uplift:      {:.2}x -> {:.2}x\n",
             self.defense,
-            100.0 * self.ad_tracking_share.0,
-            100.0 * self.ad_tracking_share.1,
-            self.ad_tracking_domains.0,
-            self.ad_tracking_domains.1,
-            self.functional_domains.0,
-            self.functional_domains.1,
-            self.voice_flows.0,
-            self.voice_flows.1,
-            self.text_flows.0,
-            self.text_flows.1,
-            self.bid_uplift.0,
-            self.bid_uplift.1,
+            100.0 * self.baseline.ad_tracking_share,
+            100.0 * self.defended.ad_tracking_share,
+            self.baseline.ad_tracking_domains,
+            self.defended.ad_tracking_domains,
+            self.baseline.functional_domains,
+            self.defended.functional_domains,
+            self.baseline.voice_flows,
+            self.defended.voice_flows,
+            self.baseline.text_flows,
+            self.defended.text_flows,
+            self.baseline.bid_uplift,
+            self.defended.bid_uplift,
         );
         7
     }
@@ -175,7 +166,6 @@ impl DefenseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::DefenseMode;
     use crate::observations::Observations;
     use crate::{AuditConfig, AuditRun};
     use std::sync::OnceLock;
@@ -184,88 +174,131 @@ mod tests {
         crate::analysis::test_support::ix()
     }
 
-    fn firewalled() -> &'static AnalysisIndex<'static> {
-        static OBS: OnceLock<Observations> = OnceLock::new();
-        static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
-        IX.get_or_init(|| {
-            AnalysisIndex::build(OBS.get_or_init(|| {
-                AuditRun::execute(AuditConfig::small(2222).with_defense(DefenseMode::Firewall))
-            }))
+    /// The index of a run really executed with `defense` active.
+    fn executed(defense: DefenseMode) -> &'static AnalysisIndex<'static> {
+        static OBS: [OnceLock<Observations>; 3] = [const { OnceLock::new() }; 3];
+        static IX: [OnceLock<AnalysisIndex<'static>>; 3] = [const { OnceLock::new() }; 3];
+        let i = defense as usize;
+        IX[i].get_or_init(|| {
+            AnalysisIndex::build(
+                OBS[i].get_or_init(|| {
+                    AuditRun::execute(AuditConfig::small(2222).with_defense(defense))
+                }),
+            )
         })
     }
 
-    fn text_only() -> &'static AnalysisIndex<'static> {
-        static OBS: OnceLock<Observations> = OnceLock::new();
-        static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
-        IX.get_or_init(|| {
-            AnalysisIndex::build(OBS.get_or_init(|| {
-                AuditRun::execute(AuditConfig::small(2222).with_defense(DefenseMode::TextOnly))
-            }))
-        })
+    fn report(name: &str, defense: DefenseMode) -> DefenseReport {
+        let [base, defended] = views(baseline(), [DefenseMode::None, defense]);
+        compare(name, base, defended)
+    }
+
+    /// The core equivalence the repro pipeline relies on: the view over the
+    /// baseline equals the same aggregates read from a genuinely executed
+    /// defended run, bit for bit.
+    fn assert_view_matches_executed_run(defense: DefenseMode) {
+        let [derived] = views(baseline(), [defense]);
+        let [ran] = views(executed(defense), [DefenseMode::None]);
+        assert_eq!(bits(derived), bits(ran), "{defense:?}");
+    }
+
+    /// All six fields, f64s by bit pattern.
+    fn bits(v: DefenseView) -> (u64, usize, usize, usize, usize, u64) {
+        (
+            v.ad_tracking_share.to_bits(),
+            v.ad_tracking_domains,
+            v.functional_domains,
+            v.voice_flows,
+            v.text_flows,
+            v.bid_uplift.to_bits(),
+        )
+    }
+
+    #[test]
+    fn firewall_view_matches_executed_run() {
+        assert_view_matches_executed_run(DefenseMode::Firewall);
+    }
+
+    #[test]
+    fn text_only_view_matches_executed_run() {
+        assert_view_matches_executed_run(DefenseMode::TextOnly);
+    }
+
+    #[test]
+    fn none_view_matches_executed_run() {
+        assert_view_matches_executed_run(DefenseMode::None);
+    }
+
+    /// The small runs send no voice or text records to a blocked host, so
+    /// this pins the AVS side of the view on a hand-built capture.
+    #[test]
+    fn view_applies_the_tap_rules_to_avs_packets() {
+        use alexa_net::{Capture, Domain, Packet, Payload, Record};
+        let packet = |host: &str, types: &[DataType]| {
+            Packet::outgoing(
+                0,
+                Domain::parse(host).expect("valid host"),
+                std::net::Ipv4Addr::new(10, 0, 0, 1),
+                Payload::Plain(types.iter().map(|&t| Record::new(t, "x")).collect()),
+            )
+        };
+        let mut obs = Observations::default();
+        obs.avs_captures.push(Capture {
+            label: "skill".into(),
+            packets: vec![
+                packet("avs-alexa-na.amazon.com", &[DataType::VoiceRecording]),
+                // Blocked by the firewall's exact-host rule.
+                packet(
+                    "device-metrics-us-2.amazon.com",
+                    &[DataType::VoiceRecording, DataType::TextCommand],
+                ),
+            ],
+        });
+        let ix = AnalysisIndex::build(&obs);
+        let modes = [
+            DefenseMode::None,
+            DefenseMode::Firewall,
+            DefenseMode::TextOnly,
+        ];
+        let flows = views(&ix, modes).map(|v| (v.voice_flows, v.text_flows));
+        assert_eq!(flows, [(2, 1), (1, 0), (0, 3)]);
     }
 
     #[test]
     fn firewall_removes_ad_tracking_without_breaking() {
-        let r = compare("firewall", baseline(), firewalled());
-        assert!(r.ad_tracking_share.0 > 0.0);
+        let r = report("firewall", DefenseMode::Firewall);
+        assert!(r.baseline.ad_tracking_share > 0.0);
         assert_eq!(
-            r.ad_tracking_share.1, 0.0,
+            r.defended.ad_tracking_share, 0.0,
             "A&T traffic survived the firewall"
         );
-        assert_eq!(r.ad_tracking_domains.1, 0);
+        assert_eq!(r.defended.ad_tracking_domains, 0);
         // Functionality preserved: functional third-party domains intact.
-        assert_eq!(r.functional_domains.0, r.functional_domains.1);
+        assert_eq!(r.baseline.functional_domains, r.defended.functional_domains);
     }
 
     #[test]
     fn firewall_does_not_stop_server_side_profiling() {
         // The paper's deeper point: Amazon's inference is out of reach of a
         // network filter. Bid uplift persists.
-        let r = compare("firewall", baseline(), firewalled());
-        assert!(r.bid_uplift.1 > 1.5, "uplift gone: {:?}", r.bid_uplift);
+        let r = report("firewall", DefenseMode::Firewall);
+        assert!(r.defended.bid_uplift > 1.5, "uplift gone: {r:?}");
     }
 
     #[test]
     fn text_only_eliminates_voice_recordings() {
-        let r = compare("text-only", baseline(), text_only());
-        assert!(r.voice_flows.0 > 0);
-        assert_eq!(r.voice_flows.1, 0, "voice recordings still flowing");
-        assert!(r.text_flows.1 > 0, "no text commands replaced them");
+        let r = report("text-only", DefenseMode::TextOnly);
+        assert!(r.baseline.voice_flows > 0);
+        assert_eq!(r.defended.voice_flows, 0, "voice recordings still flowing");
+        assert!(r.defended.text_flows > 0, "no text commands replaced them");
         // Functionality (and thus traffic shape) preserved.
-        assert_eq!(r.functional_domains.0, r.functional_domains.1);
+        assert_eq!(r.baseline.functional_domains, r.defended.functional_domains);
     }
 
     #[test]
     fn renders() {
-        let r = compare("firewall", baseline(), firewalled());
-        let s = r.render();
+        let s = report("firewall", DefenseMode::Firewall).render();
         assert!(s.contains("A&T traffic share"));
         assert!(s.contains("bid uplift"));
-    }
-
-    #[test]
-    fn derived_firewall_matches_executed_run() {
-        // The core equivalence the repro pipeline relies on: mapping
-        // apply_defense over the baseline captures yields the exact
-        // observable record of a genuinely re-executed defended run.
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::Firewall);
-        let executed = firewalled().obs;
-        assert_eq!(derived.digest(), executed.digest());
-    }
-
-    #[test]
-    fn derived_text_only_matches_executed_run() {
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::TextOnly);
-        let executed = text_only().obs;
-        assert_eq!(derived.digest(), executed.digest());
-    }
-
-    #[test]
-    fn derive_none_is_identity() {
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::None);
-        assert_eq!(derived.digest(), base.digest());
     }
 }

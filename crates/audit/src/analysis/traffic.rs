@@ -199,10 +199,16 @@ pub struct Table2 {
 
 /// Compute Table 2 from packet counts.
 pub fn table2(ix: &AnalysisIndex) -> Table2 {
+    table2_where(ix, |_| true)
+}
+
+/// Table 2 over the packets to hosts (indices into
+/// [`AnalysisIndex::hosts`]) that `keep` admits.
+pub(crate) fn table2_where(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table2 {
     let mut counts: BTreeMap<(OrgClass, TrafficPurpose), usize> = BTreeMap::new();
     let mut total = 0usize;
     for f in &ix.flows {
-        for hc in ix.hosts_of(f) {
+        for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
             let h = &ix.hosts[hc.host as usize];
             *counts
                 .entry((ix.org_class(h, f.vendor), ix.purpose(h)))
@@ -283,6 +289,12 @@ pub struct Table3 {
 
 /// Compute Table 3.
 pub fn table3(ix: &AnalysisIndex) -> Table3 {
+    table3_where(ix, |_| true)
+}
+
+/// Table 3 over the hosts (indices into [`AnalysisIndex::hosts`]) that
+/// `keep` admits.
+pub(crate) fn table3_where(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table3 {
     let mut rows: Vec<(String, usize, usize)> = ix
         .persona_flows
         .iter()
@@ -290,7 +302,7 @@ pub fn table3(ix: &AnalysisIndex) -> Table3 {
             let mut at: BTreeSet<u32> = BTreeSet::new();
             let mut func: BTreeSet<u32> = BTreeSet::new();
             for f in ix.flows_in(range) {
-                for hc in ix.hosts_of(f) {
+                for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
                     let h = &ix.hosts[hc.host as usize];
                     if ix.org_class(h, f.vendor) != OrgClass::ThirdParty {
                         continue;

@@ -52,7 +52,10 @@ use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
     RetryBudget, RetryOutcome, RetryPolicy,
 };
-use alexa_net::{AvsTap, Capture, OrgMap, RouterTap, TapStats};
+use alexa_net::{
+    AvsTap, Capture, DataType, Domain, Firewall, OrgMap, Packet, Payload, RouterTap, TapStats,
+    Verdict,
+};
 use alexa_obs::{Histogram, Json, Recorder, ShardLog};
 use alexa_platform::storepage::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
@@ -200,38 +203,63 @@ impl AuditConfig {
     }
 }
 
-/// Apply the configured defense to a device's outgoing packet batch.
+/// The per-packet rules of one defense. The capture tap applies them
+/// through [`apply_defense`]; the defended view in `analysis::defense`
+/// evaluates the same rules over the baseline's index.
 ///
 /// * `Firewall`: drop packets to advertising & tracking endpoints at the
 ///   router (they never reach the network, so they never reach a tap).
 /// * `TextOnly`: replace every voice-recording record with the locally
 ///   transcribed text command — the content needed for functionality, minus
 ///   the acoustic channel (mood, health, accent, …) the paper warns about.
-pub(crate) fn apply_defense(
-    defense: DefenseMode,
-    packets: Vec<alexa_net::Packet>,
-) -> Vec<alexa_net::Packet> {
-    use alexa_net::{DataType, Firewall, Payload, Record};
-    match defense {
-        DefenseMode::None => packets,
-        DefenseMode::Firewall => {
-            let mut fw = Firewall::new();
-            fw.filter_batch(packets)
+pub(crate) struct DefenseRules {
+    firewall: Option<Firewall>,
+    text_only: bool,
+}
+
+impl DefenseRules {
+    pub(crate) fn new(defense: DefenseMode) -> DefenseRules {
+        DefenseRules {
+            firewall: (defense == DefenseMode::Firewall).then(Firewall::new),
+            text_only: defense == DefenseMode::TextOnly,
         }
-        DefenseMode::TextOnly => packets
-            .into_iter()
-            .map(|mut p| {
-                if let Payload::Plain(records) = &mut p.payload {
-                    for r in records.iter_mut() {
-                        if r.data_type == DataType::VoiceRecording {
-                            *r = Record::new(DataType::TextCommand, r.value.clone());
-                        }
-                    }
-                }
-                p
-            })
-            .collect(),
     }
+
+    /// Whether a packet sent to `remote` leaves the home network.
+    pub(crate) fn admits(&self, remote: &Domain) -> bool {
+        self.firewall
+            .as_ref()
+            .is_none_or(|fw| fw.judge_remote(remote) == Verdict::Allow)
+    }
+
+    /// The type a plaintext record of type `data_type` is sent as.
+    pub(crate) fn sent_type(&self, data_type: DataType) -> DataType {
+        if self.text_only && data_type == DataType::VoiceRecording {
+            DataType::TextCommand
+        } else {
+            data_type
+        }
+    }
+}
+
+/// Apply the configured defense to a device's outgoing packet batch.
+pub(crate) fn apply_defense(defense: DefenseMode, packets: Vec<Packet>) -> Vec<Packet> {
+    if defense == DefenseMode::None {
+        return packets;
+    }
+    let rules = DefenseRules::new(defense);
+    packets
+        .into_iter()
+        .filter(|p| rules.admits(&p.remote))
+        .map(|mut p| {
+            if let Payload::Plain(records) = &mut p.payload {
+                for r in records.iter_mut() {
+                    r.data_type = rules.sent_type(r.data_type);
+                }
+            }
+            p
+        })
+        .collect()
 }
 
 /// The three personas that run audio-ad sessions (§3.3), in the fixed order

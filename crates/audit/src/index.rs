@@ -190,6 +190,8 @@ pub struct AnalysisIndex<'a> {
     pub symbols: Interner,
     /// Distinct endpoint hosts in lexicographic order.
     pub hosts: Vec<HostInfo>,
+    /// The endpoint of each entry of [`AnalysisIndex::hosts`].
+    pub host_domains: Vec<&'a alexa_net::Domain>,
     /// Per-(persona, skill) flow groups, personas then skills in
     /// lexicographic order.
     pub flows: Vec<SkillFlows>,
@@ -240,9 +242,10 @@ impl<'a> AnalysisIndex<'a> {
                 }
             }
         }
-        let mut hosts = Vec::with_capacity(host_set.len());
+        let host_domains: Vec<&alexa_net::Domain> = host_set.into_iter().collect();
+        let mut hosts = Vec::with_capacity(host_domains.len());
         let mut host_ids: BTreeMap<&str, u32> = BTreeMap::new();
-        for d in &host_set {
+        for d in &host_domains {
             host_ids.insert(d.as_str(), hosts.len() as u32);
             let host = symbols.intern(d.as_str());
             let registrable = match d.registrable() {
@@ -413,6 +416,7 @@ impl<'a> AnalysisIndex<'a> {
             obs,
             symbols,
             hosts,
+            host_domains,
             flows,
             host_counts,
             persona_flows,

@@ -102,8 +102,12 @@ fn analysis_never_panics_at_total_fault_rate() {
     let defended = AuditRun::execute(cfg.with_defense(DefenseMode::Firewall));
     let obs_ix = alexa_audit::AnalysisIndex::build(&obs);
     let defended_ix = alexa_audit::AnalysisIndex::build(&defended);
-    let comparison = defense::compare("firewall under total faults", &obs_ix, &defended_ix);
-    assert!(!comparison.render().is_empty());
+    let [base, viewed] = defense::views(&obs_ix, [DefenseMode::None, DefenseMode::Firewall]);
+    let [ran] = defense::views(&defended_ix, [DefenseMode::None]);
+    for defended in [viewed, ran] {
+        let comparison = defense::compare("firewall under total faults", base, defended);
+        assert!(!comparison.render().is_empty());
+    }
 }
 
 /// Injected faults and retries surface as observability counters, and the

@@ -55,8 +55,9 @@
 //!
 //! * `0` — complete run (campaigns: including when some cells degraded —
 //!   degradation is recorded per cell in `campaign.json`).
-//! * `1` — I/O failure, or a campaign determinism violation (instances of
-//!   one cell identity differ byte-wise).
+//! * `1` — I/O failure (including a failed write to stdout), or a campaign
+//!   determinism violation (instances of one cell identity differ
+//!   byte-wise).
 //! * `2` — usage error (unknown flag/artifact, bad value, invalid plan,
 //!   `--run-dir` pointing at a foreign directory).
 //! * `3` — **degraded but valid**: injected faults cost observations after
@@ -68,6 +69,7 @@ use alexa_bench::{campaign, render_all, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,6 +87,17 @@ fn write_output(path: &str, what: &str, body: &str) {
         std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure, deliberately distinct from the documented run statuses
     }
     eprintln!("{what} written to {path}");
+}
+
+/// Print to stdout, flushing at once. `print!` panics when stdout fails (a
+/// full disk, a closed pipe), which would break the exit-code contract; a
+/// failed write here is an I/O failure instead: a message, then exit 1.
+fn print_stdout(args: std::fmt::Arguments) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure, deliberately distinct from the documented run statuses
+    }
 }
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
@@ -172,7 +185,7 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     log.push('\n');
     std::fs::write(path, log).expect("write BENCH_audit.json");
     eprintln!("execute: {execute_ms} ms, render all: {render_ms} ms");
-    println!("{entry}");
+    print_stdout(format_args!("{entry}\n"));
     obs
 }
 
@@ -317,7 +330,7 @@ fn run_campaign_cli(args: &[String]) -> ! {
     alexa_obs::install_global(rec.clone());
     match campaign::run_campaign(Path::new(&plan), out.as_deref().map(Path::new), &rec) {
         Ok(summary) => {
-            print!("{}", summary.render());
+            print_stdout(format_args!("{}", summary.render()));
             std::process::exit(0);
         }
         Err(e) => {
@@ -475,7 +488,7 @@ fn main() {
     let cli = parse_cli();
     if cli.list {
         for a in ARTIFACTS {
-            println!("{a}");
+            print_stdout(format_args!("{a}\n"));
         }
         return;
     }
@@ -529,10 +542,10 @@ fn main() {
     // artifact subset still reports what the run actually observed. It is
     // deterministic (counts only), keeping jobs-diff CI byte-exact.
     if cli.fault.is_active() {
-        println!("{}", obs.coverage.render());
+        print_stdout(format_args!("{}\n", obs.coverage.render()));
     }
     for artifact in render_all(&obs, &wanted, cli.seed, cli.jobs, &cli.fault, &rec) {
-        println!("{artifact}");
+        print_stdout(format_args!("{artifact}\n"));
     }
     emit_observability(&rec, &cli, &obs);
     if obs.coverage.is_degraded() {

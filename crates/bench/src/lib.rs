@@ -29,67 +29,49 @@ pub const ARTIFACTS: &[&str] = &[
     "stats71", "table13", "table13p", "table14", "validate", "liars", "defenses",
 ];
 
-/// Produce the two defended observable records (firewall, text-only) the
-/// `defenses` artifact compares against the baseline.
+/// Execute the firewall and text-only audits under `fault`.
 ///
-/// Every defense is a pure per-packet transform at the tap boundary, so on a
-/// fault-free run the defended record is *derived* from the baseline instead
-/// of re-executing the whole pipeline twice (`defense.rs` documents the
-/// equivalence; a digest test enforces it). Injected tap faults key off
-/// post-defense packet sequence numbers, so faulted runs still execute for
-/// real.
-pub fn defended_records(
+/// Only a faulted run needs these: tap faults key off post-defense packet
+/// sequence numbers, so a defended run's faults differ from the baseline's
+/// and the defended record is not a view of it. The defended audits run at
+/// paper scale, as `repro` does.
+fn execute_defended(
     seed: u64,
     jobs: Option<usize>,
     fault: &FaultProfile,
-    baseline: &Observations,
 ) -> (Observations, Observations) {
-    if fault.is_active() {
-        eprintln!("running defended audits (firewall, text-only) ...");
-        let fw = AuditRun::execute(
+    eprintln!("running defended audits (firewall, text-only) ...");
+    let run = |defense| {
+        AuditRun::execute(
             AuditConfig::paper(seed)
-                .with_defense(DefenseMode::Firewall)
+                .with_defense(defense)
                 .with_faults(fault.clone())
                 .with_jobs(jobs),
-        );
-        let to = AuditRun::execute(
-            AuditConfig::paper(seed)
-                .with_defense(DefenseMode::TextOnly)
-                .with_faults(fault.clone())
-                .with_jobs(jobs),
-        );
-        (fw, to)
-    } else {
-        eprintln!("deriving defended records (firewall, text-only) ...");
-        (
-            defense::derive_defended(baseline, DefenseMode::Firewall),
-            defense::derive_defended(baseline, DefenseMode::TextOnly),
         )
-    }
+    };
+    (run(DefenseMode::Firewall), run(DefenseMode::TextOnly))
 }
 
 /// Stream the two defense comparisons into `out`; returns render work units.
-/// The defended indices are built outside `render.all` (they are analysis
-/// input, not rendering), so this is a pure index scan + stream.
+///
+/// Fault-free, both defended sides are [`defense::views`] over the baseline
+/// index. `executed` carries the indices of really executed defended audits
+/// (faulted runs only), read as captured.
 fn render_defenses_into(
     baseline: &AnalysisIndex,
-    defended: &(AnalysisIndex, AnalysisIndex),
+    executed: Option<&(AnalysisIndex, AnalysisIndex)>,
     out: &mut String,
 ) -> usize {
-    let (firewalled_ix, text_only_ix) = defended;
-    let mut work = defense::compare(
-        "A&T firewall (blocking without breaking)",
-        baseline,
-        firewalled_ix,
-    )
-    .render_into(out);
+    use DefenseMode::{Firewall, TextOnly};
+    let [base, firewalled, text_only] = match executed {
+        Some((fw, to)) => [baseline, fw, to].map(|ix| defense::views(ix, [DefenseMode::None])[0]),
+        None => defense::views(baseline, [DefenseMode::None, Firewall, TextOnly]),
+    };
+    let mut work = defense::compare("A&T firewall (blocking without breaking)", base, firewalled)
+        .render_into(out);
     out.push('\n');
-    work += defense::compare(
-        "on-device transcription (text-only)",
-        baseline,
-        text_only_ix,
-    )
-    .render_into(out);
+    work +=
+        defense::compare("on-device transcription (text-only)", base, text_only).render_into(out);
     work
 }
 
@@ -109,16 +91,12 @@ pub fn render_all(
     rec: &Recorder,
 ) -> Vec<String> {
     let ix = rec.stage("index.build", || AnalysisIndex::build(obs));
-    // The `defenses` artifact compares the baseline against two defended
-    // observable records. Producing those records and indexing them is
-    // analysis-input construction, not rendering, so it gets its own
-    // top-level stages and `render.all` stays a pure streaming pass.
-    let defended_obs = wanted.contains(&"defenses").then(|| {
-        rec.stage("derive.defended", || {
-            defended_records(seed, jobs, fault, obs)
-        })
-    });
-    let defended_ix = defended_obs.as_ref().map(|(fw, to)| {
+    // Under an active fault profile the `defenses` artifact compares against
+    // really executed defended audits; executing and indexing them is
+    // analysis input, not rendering, so each gets its own top-level stage.
+    let executed_obs = (fault.is_active() && wanted.contains(&"defenses"))
+        .then(|| rec.stage("derive.defended", || execute_defended(seed, jobs, fault)));
+    let executed_ix = executed_obs.as_ref().map(|(fw, to)| {
         rec.stage("index.defended", || {
             (AnalysisIndex::build(fw), AnalysisIndex::build(to))
         })
@@ -133,9 +111,7 @@ pub fn render_all(
             let rendered = log.span("render", |log| {
                 let mut buf = String::with_capacity(4096);
                 let units = if artifact == "defenses" {
-                    // analyzer:allow(AP02) -- guarded above: defended_ix is Some whenever "defenses" is wanted
-                    let defended = defended_ix.as_ref().expect("defended indices built");
-                    render_defenses_into(&ix, defended, &mut buf)
+                    render_defenses_into(&ix, executed_ix.as_ref(), &mut buf)
                 } else {
                     // analyzer:allow(AP02) -- every caller passes names from ARTIFACTS; repro rejects unknowns at parse time (exit 2)
                     artifacts::render_into(&ix, artifact, &mut buf).expect("artifact known")

@@ -43,13 +43,19 @@ fn check_seed(seed: u64, golden: &str, golden_path: &str) {
             "seed {seed}: report bytes differ between --jobs 1 and --jobs {jobs}"
         );
     }
+    check_golden(&sequential, golden, golden_path);
+}
+
+/// Assert `got` equals the committed `golden`, or rewrite the golden file
+/// under `BLESS=1`.
+fn check_golden(got: &str, golden: &str, golden_path: &str) {
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(golden_path, &sequential).expect("write golden");
+        std::fs::write(golden_path, got).expect("write golden");
         return;
     }
     assert_eq!(
-        sequential, golden,
-        "seed {seed}: report drifted from {golden_path} \
+        got, golden,
+        "output drifted from {golden_path} \
          (BLESS=1 regenerates after an intentional change)"
     );
 }
@@ -88,10 +94,11 @@ fn report_seed2222_matches_golden_across_jobs() {
 }
 
 /// Pins the folded work profile of a **rendered** small(7) run: unlike the
-/// execution-only golden in `crates/audit`, this one covers `index.build`,
-/// `derive.defended`, `index.defended` and — the point of the exercise —
-/// per-artifact `render.all;artifact;<name>;render` frames, so render cost
-/// attribution can never silently regress to zero again.
+/// execution-only golden in `crates/audit`, this one covers `index.build`
+/// and — the point of the exercise — per-artifact
+/// `render.all;artifact;<name>;render` frames (the `defenses` view
+/// included), so render cost attribution can never silently regress to
+/// zero again.
 #[test]
 fn rendered_profile_matches_golden_with_per_artifact_attribution() {
     let rec = Recorder::new();
@@ -107,18 +114,33 @@ fn rendered_profile_matches_golden_with_per_artifact_attribution() {
         );
     }
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/profile_render_seed7.folded"
-    );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    assert_eq!(
-        got,
+    check_golden(
+        &got,
         include_str!("golden/profile_render_seed7.folded"),
-        "rendered profile drifted from {path} \
-         (BLESS=1 regenerates after an intentional change)"
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/profile_render_seed7.folded"
+        ),
+    );
+}
+
+/// Pins the `defenses` artifact under an active fault profile. Tap faults
+/// key off post-defense sequence numbers, so a faulted run still executes
+/// both defended audits for real; this golden holds that branch's bytes.
+/// Those audits run at paper scale whatever the baseline's scale, so here
+/// the small(7) baseline is compared against paper-scale defended runs.
+#[test]
+fn defenses_small7_flaky_matches_golden() {
+    let fault = FaultProfile::flaky();
+    let obs = AuditRun::execute(AuditConfig::small(7).with_faults(fault.clone()));
+    let rec = Recorder::disabled();
+    let got = render_all(&obs, &["defenses"], 7, None, &fault, &rec).concat();
+    check_golden(
+        &got,
+        include_str!("golden/defenses_small7_flaky.txt"),
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/defenses_small7_flaky.txt"
+        ),
     );
 }

@@ -25,29 +25,35 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    Some(quantile_sorted(&sorted, q))
+    // Selecting each order statistic the interpolation reads is O(n), where
+    // a full sort is O(n log n). `total_cmp` is a total order, so the k-th
+    // smallest value is the same, bit for bit, as in the sorted sample.
+    let mut sample: Vec<f64> = xs.to_vec();
+    Some(interpolate(sample.len(), q, |k| {
+        *sample.select_nth_unstable_by(k, f64::total_cmp).1
+    }))
 }
 
 /// Quantile of an already ascending-sorted slice. An empty slice yields
 /// `NaN` (every in-crate caller guards for non-emptiness first).
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    let Some(&first) = sorted.first() else {
+    if sorted.is_empty() {
         return f64::NAN;
-    };
-    if n == 1 {
-        return first;
     }
+    interpolate(sorted.len(), q, |k| sorted[k])
+}
+
+/// Type-7 interpolation at `q` over `n > 0` ordered values, where `nth(k)`
+/// is the `k`-th smallest; reads only the order statistics around `q`.
+fn interpolate(n: usize, q: f64, mut nth: impl FnMut(usize) -> f64) -> f64 {
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = (pos.ceil() as usize).min(n - 1);
     if lo == hi {
-        sorted[lo]
+        nth(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        nth(lo) * (1.0 - frac) + nth(hi) * frac
     }
 }
 

@@ -34,6 +34,20 @@ proptest! {
     }
 
     #[test]
+    fn quantile_equals_the_sorted_reference_bit_for_bit(
+        xs in prop::collection::vec(-8i32..8, 1..64),
+        percent in 0u32..101,
+    ) {
+        let q = f64::from(percent) / 100.0;
+        // Few distinct values (signed zeros included) to exercise ties.
+        let xs: Vec<f64> = xs.iter().map(|&x| f64::from(x) * 0.5 * if x % 3 == 0 { -1.0 } else { 1.0 }).collect();
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let reference = alexa_stats::descriptive::quantile_sorted(&sorted, q);
+        prop_assert_eq!(quantile(&xs, q).unwrap().to_bits(), reference.to_bits());
+    }
+
+    #[test]
     fn summary_is_ordered(xs in sample(64)) {
         let s = five_number_summary(&xs).unwrap();
         prop_assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);
