@@ -122,25 +122,6 @@ impl Crawler {
         self
     }
 
-    /// Visit one site as a persona and record the observables.
-    pub fn visit(
-        &self,
-        site: &Website,
-        profile: &mut BrowserProfile,
-        user: &UserState,
-        iteration: usize,
-        seed: u64,
-    ) -> VisitRecord {
-        let record = alexa_obs::agg_time("crawler.visit", || {
-            self.visit_uninstrumented(site, profile, user, iteration, seed)
-        });
-        alexa_obs::agg_count("crawler.visits", 1);
-        alexa_obs::agg_count("crawler.bids", record.bids.len() as u64);
-        alexa_obs::agg_count("crawler.creatives", record.creatives.len() as u64);
-        alexa_obs::agg_count("crawler.syncs", record.syncs.len() as u64);
-        record
-    }
-
     /// Like [`Crawler::visit`], but applies the fault plane's bid-loss
     /// channel and reports how many bid responses were lost.
     ///
@@ -170,7 +151,6 @@ impl Crawler {
                 !self.fault.fires(FaultChannel::BidLoss, &key)
             });
             lost = (before - record.bids.len()) as u64;
-            alexa_obs::agg_count("fault.bid_loss", lost);
         }
         (record, lost)
     }
@@ -190,9 +170,8 @@ impl Crawler {
         view
     }
 
-    /// The visit itself, free of observability hooks. Recording happens in
-    /// [`Crawler::visit`] and never feeds back into the visit's RNG streams.
-    fn visit_uninstrumented(
+    /// Visit one site as a persona and record the observables.
+    pub fn visit(
         &self,
         site: &Website,
         profile: &mut BrowserProfile,

@@ -157,15 +157,11 @@ const OBS_METHODS: &[&str] = &[
     "span",
     "stage",
     "add",
-    "count",
     "shard",
     "section",
-    "time",
     "volatile",
     "volatile_max",
 ];
-/// Free functions whose first string argument is an observability name.
-const OBS_FUNCTIONS: &[&str] = &["agg_time", "agg_count"];
 
 /// Run every lint over one lexed file, appending raw findings (escape
 /// directives and baselines are applied by the driver).
@@ -310,11 +306,10 @@ pub fn run_lints(
                 {
                     check_exit_literals(toks, i + 2, &exit_codes, &mut push);
                 }
-                // AO01 — registered observability names, via free functions
-                // (agg_time/agg_count) or recorder/log methods.
-                let obs_call = (OBS_FUNCTIONS.contains(&name)
-                    || (OBS_METHODS.contains(&name) && prev_is(toks, i, ".")))
-                    && next_is(toks, i, "(");
+                // AO01 — registered observability names, via recorder/log
+                // methods.
+                let obs_call =
+                    OBS_METHODS.contains(&name) && prev_is(toks, i, ".") && next_is(toks, i, "(");
                 if obs_call {
                     check_obs_name(toks, i + 2, registry, &mut push);
                 }

@@ -521,8 +521,8 @@ mod tests {
     fn free_and_assoc_fns_with_calls() {
         let s = summarize_src(
             "pub fn top() { helper(); obj.go(); self_free(); }\n\
-             fn helper() { alexa_obs::agg_time(\"x\", || {}); }\n\
-             impl Recorder { pub fn time(&self) { self.lock(); } }\n\
+             fn helper() { alexa_exec::par_map(None, v, f); }\n\
+             impl Recorder { pub fn stage(&self) { self.lock(); } }\n\
              impl fmt::Display for Wrapper { fn fmt(&self) {} }\n\
              trait Backend { fn run(&self) { self.pre(); } }\n",
         );
@@ -532,7 +532,7 @@ mod tests {
             vec![
                 "top",
                 "helper",
-                "Recorder::time",
+                "Recorder::stage",
                 "Wrapper::fmt",
                 "Backend::run"
             ]
@@ -546,7 +546,7 @@ mod tests {
         assert!(top_calls.contains(&("helper", &CallKind::Free)));
         assert!(top_calls.contains(&("go", &CallKind::Method)));
         assert!(s.fns[1].calls.iter().any(
-            |c| c.name == "agg_time" && c.kind == CallKind::Qualified("alexa_obs".to_string())
+            |c| c.name == "par_map" && c.kind == CallKind::Qualified("alexa_exec".to_string())
         ));
         assert!(s.fns[2]
             .calls

@@ -53,19 +53,19 @@ pub fn reasonless(v: Option<u32>) -> u32 {
 // analyzer:allow(AD01) -- stale: nothing on these lines reads a clock
 pub fn stale_escape() {}
 
-pub fn obs_names(rec: &Recorder) {
+pub fn obs_names(rec: &Recorder, log: &mut ShardLog) {
     rec.stage("boot", || {});
-    rec.count("Not-Registered", 1);
-    rec.count("mystery.name", 1);
-    rec.time("timer.unregistered", || {});
-    agg_count("fault.unknown", 1);
+    log.add("Not-Registered", 1);
+    log.add("mystery.name", 1);
+    rec.stage("stage.unregistered", || {});
+    log.add("fault.unknown", 1);
 }
 
-pub fn live_names(rec: &Recorder) {
+pub fn live_names(log: &mut ShardLog) {
     // Keeps these registry entries live for AS03; fault.packet_drop and
     // fault.mystery have no emitting site anywhere and stay dead.
-    rec.count("render.bytes", 1);
-    agg_count("fault.injected", 1);
+    log.add("render.bytes", 1);
+    log.add("fault.injected", 1);
 }
 
 pub fn near_misses() {

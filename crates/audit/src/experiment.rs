@@ -845,18 +845,6 @@ fn decode_worker_reply<T>(
         }
         rec.submit(log);
     }
-    // Aggregate deltas the worker's leaf libraries (crawler) recorded while
-    // running this shard; merging them keeps metrics.json byte-identical to
-    // an in-process run.
-    if let Some(Json::Obj(aggregates)) = doc.get("agg") {
-        for (name, delta) in aggregates {
-            let field = |key: &str| match delta.get(key) {
-                Some(Json::Int(n)) => *n,
-                _ => 0,
-            };
-            rec.merge_aggregate(name, field("count"), field("calls"));
-        }
-    }
     Some(shard)
 }
 
@@ -1160,15 +1148,8 @@ impl AuditRun {
             (map, cov, ledger)
         });
         obs.policies = policies;
-        rec.count("policy.documents", obs.policies.len() as u64);
         coverage.section("policy.downloads").merge(policy_cov);
         coverage.merge_ledger("policy", &policy_ledger);
-
-        if plane.is_active() {
-            rec.count("fault.injected", coverage.total_injected());
-            rec.count("fault.retries", coverage.retries);
-            rec.count("fault.losses", coverage.losses);
-        }
         obs.coverage = coverage;
 
         obs

@@ -213,14 +213,7 @@ pub struct AnalysisIndex<'a> {
     /// `Amazon Technologies, Inc.` as a symbol.
     pub amazon: Sym,
     meta_by_id: BTreeMap<&'a str, &'a SkillMeta>,
-    /// Memoized [`AnalysisIndex::common_slots`] masks. About a dozen
-    /// artifacts ask for the same (persona set, window) masks; the mask is
-    /// a pure function of the key, so the memo is invisible to results.
-    slot_masks: std::sync::Mutex<Vec<SlotMaskEntry>>,
 }
-
-/// One memoized slot mask: the (persona set, window) key and its mask.
-type SlotMaskEntry = (Vec<Persona>, Range<usize>, Vec<bool>);
 
 impl<'a> AnalysisIndex<'a> {
     /// Build the index: one pass over each observation table.
@@ -427,7 +420,6 @@ impl<'a> AnalysisIndex<'a> {
             types_per_skill,
             amazon,
             meta_by_id,
-            slot_masks: std::sync::Mutex::new(Vec::new()),
         }
     }
 
@@ -488,12 +480,6 @@ impl<'a> AnalysisIndex<'a> {
         if personas.is_empty() {
             return vec![false; n];
         }
-        {
-            let memo = self.slot_masks.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some((_, _, mask)) = memo.iter().find(|(p, w, _)| w == window && p == personas) {
-                return mask.clone();
-            }
-        }
         let mut common = vec![true; n];
         let mut seen = vec![false; n];
         for p in personas {
@@ -510,10 +496,6 @@ impl<'a> AnalysisIndex<'a> {
                 .zip(&seen)
                 .for_each(|(c, s)| *c = *c && *s);
         }
-        self.slot_masks
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((personas.to_vec(), window.clone(), common.clone()));
         common
     }
 

@@ -10,11 +10,10 @@
 //! one run regenerates the shared inputs once.
 //!
 //! A reply's payload is `{"shard": <wire shard>, "alloc": <wire alloc
-//! window>, "log": <wire shard log>, "agg": {name: {count, calls}}}`: the
-//! parent decodes the shard into its typed form, re-installs the allocation
-//! window on the decoded log, submits the log to its recorder, and merges
-//! the aggregate deltas, making a process-backend report structurally
-//! identical to an in-process one.
+//! window>, "log": <wire shard log>}`: the parent decodes the shard into its
+//! typed form, re-installs the allocation window on the decoded log and
+//! submits the log to its recorder, making a process-backend report
+//! structurally identical to an in-process one.
 //!
 //! Test hooks (integration tests only):
 //!
@@ -110,24 +109,6 @@ fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<String, S
         }
         other => return Err(format!("unknown shard group '{other}'")),
     };
-    // Leaf libraries (the crawler) report name-keyed aggregates to the
-    // process-wide recorder — which in a worker is this shard's recorder,
-    // installed fresh per shard by the main loop. Ship the deltas so the
-    // parent's metrics.json matches an in-process run byte for byte.
-    let aggregates = rec
-        .report()
-        .aggregates
-        .into_iter()
-        .map(|(name, a)| {
-            (
-                name,
-                Json::Obj(vec![
-                    ("count".to_string(), Json::Int(a.count)),
-                    ("calls".to_string(), Json::Int(a.calls)),
-                ]),
-            )
-        })
-        .collect();
     Ok(Json::Obj(vec![
         ("shard".to_string(), shard_json),
         (
@@ -137,7 +118,6 @@ fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<String, S
             wire::shard_alloc_to_json(&ShardAlloc::of(&log)),
         ),
         ("log".to_string(), log.to_wire_json()),
-        ("agg".to_string(), Json::Obj(aggregates)),
     ])
     .render())
 }
@@ -156,6 +136,8 @@ pub fn run_shard_worker() -> i32 {
     let stdin = io::stdin();
     let mut stdout = io::stdout();
     let mut world: Option<World> = None;
+    // Only opens enabled shard logs: nothing is ever submitted to it.
+    let rec = Recorder::new();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { return 1 };
         if line.trim().is_empty() {
@@ -175,11 +157,6 @@ pub fn run_shard_worker() -> i32 {
         if !matches!(&world, Some(w) if w.key == spec.payload) {
             world = World::build(&spec.payload);
         }
-        // A fresh recorder per shard, installed process-wide so leaf
-        // libraries' global aggregates land here; per-shard scoping makes
-        // each reply's `agg` block an exact delta, not a running total.
-        let rec = std::sync::Arc::new(Recorder::new());
-        alexa_obs::install_global(rec.clone());
         let result = match &world {
             Some(w) => run_spec(w, &spec, &rec),
             None => Err("shard payload did not decode to an audit config".to_string()),

@@ -20,7 +20,7 @@ fn tracing_does_not_change_the_digest() {
 #[test]
 fn report_covers_every_stage_and_shard() {
     let rec = Recorder::new();
-    AuditRun::execute_with(AuditConfig::small(5), &rec);
+    let obs = AuditRun::execute_with(AuditConfig::small(5), &rec);
     let report = rec.report();
 
     for stage in [
@@ -65,10 +65,11 @@ fn report_covers_every_stage_and_shard() {
     // One AVS shard per skill category.
     assert_eq!(report.shards_in("avs").len(), 9);
 
-    // Leaf-library aggregates only flow through the *global* recorder (the
-    // repro binary installs one); a locally attached recorder must still
-    // have the pipeline's own counts.
-    assert!(report.aggregates.contains_key("policy.documents"));
+    // Downloaded policy documents are counted by the coverage ledger (the
+    // download pass runs outside any shard, so no shard counter sees it).
+    let policies = obs.coverage.sections["policy.downloads"];
+    assert!(policies.observed > 0);
+    assert_eq!(policies.observed, obs.policies.len() as u64);
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! repro --backend process all      # shard fan-out via child processes
 //! repro --worker-timeout-ms 5000 --backend process all  # per-shard timeout
 //! repro --shard-worker             # (internal) process-backend worker loop
-//! repro --bench             # time a paper-scale run, write BENCH_audit.json
+//! repro --bench             # time a paper-scale run, print a bench JSON line
 //! repro --list              # list artifact names
 //! repro campaign plan.json  # execute a declarative experiment plan
 //! ```
@@ -71,7 +71,6 @@ use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Write `body` to `path`, with `-` streaming to stderr. File write errors
@@ -101,9 +100,10 @@ fn print_stdout(args: std::fmt::Arguments) {
 }
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
-/// pass and append the data point — with the recorder's per-stage breakdown
-/// — to `BENCH_audit.json` at the repo root. Returns the observations so the
-/// observability surfaces (`--run-dir`, ...) can describe the benched run.
+/// pass and print the data point — with the recorder's per-stage breakdown
+/// — as one JSON line on stdout (append it to a bench file with `>>`).
+/// Returns the observations so the observability surfaces (`--run-dir`,
+/// ...) can describe the benched run.
 fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     let workers = alexa_exec::effective_jobs(jobs);
     eprintln!("benchmarking paper-scale audit (seed {seed}, {workers} worker(s)) ...");
@@ -178,12 +178,6 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     ])
     .render();
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
-    // Append as JSON lines so successive benchmark points accumulate.
-    let mut log = std::fs::read_to_string(path).unwrap_or_default();
-    log.push_str(&entry);
-    log.push('\n');
-    std::fs::write(path, log).expect("write BENCH_audit.json");
     eprintln!("execute: {execute_ms} ms, render all: {render_ms} ms");
     print_stdout(format_args!("{entry}\n"));
     obs
@@ -326,8 +320,7 @@ fn run_campaign_cli(args: &[String]) -> ! {
         eprintln!("error: campaign expects a plan file");
         usage(2);
     };
-    let rec = Arc::new(Recorder::new());
-    alexa_obs::install_global(rec.clone());
+    let rec = Recorder::new();
     match campaign::run_campaign(Path::new(&plan), out.as_deref().map(Path::new), &rec) {
         Ok(summary) => {
             print_stdout(format_args!("{}", summary.render()));
@@ -494,8 +487,7 @@ fn main() {
     }
     guard_run_dir(&cli);
 
-    // The recorder: enabled whenever any observability surface is on, and
-    // installed globally so leaf libraries (stats, crawler) feed it too.
+    // The recorder: enabled whenever any observability surface is on.
     let observing = cli.trace
         || cli.metrics_out.is_some()
         || cli.mem_out.is_some()
@@ -503,12 +495,11 @@ fn main() {
         || cli.profile_out.is_some()
         || cli.run_dir.is_some()
         || cli.bench;
-    let rec = Arc::new(if observing {
+    let rec = if observing {
         Recorder::new()
     } else {
         Recorder::disabled()
-    });
-    alexa_obs::install_global(rec.clone());
+    };
 
     if cli.bench {
         let obs = run_bench(cli.seed, cli.jobs, &rec);

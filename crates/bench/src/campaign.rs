@@ -37,12 +37,11 @@ use alexa_obs::campaign::{
     campaign_manifest, uniform_fault_rate, CellCoord, CellRecord, Plan, PlanError, Scale,
     CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
 };
-use alexa_obs::{install_global, Json, Recorder};
+use alexa_obs::{Json, Recorder};
 use alexa_obsdiff::{load_bundle, LoadedBundle};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// The analysis tables every campaign derives, in render order. Each name
 /// yields `tables/<name>.jsonl` and `tables/<name>.md`.
@@ -354,8 +353,8 @@ fn bundle_files_only(dir: &Path) -> bool {
 /// resuming over any cells already complete there.
 ///
 /// Campaign-level stages are recorded on `rec`; every executed cell gets
-/// its own fresh recorder (installed globally for the duration of the
-/// cell) so its bundle is untouched by campaign context or sibling cells.
+/// its own fresh recorder so its bundle is untouched by campaign context or
+/// sibling cells.
 pub fn run_campaign(
     plan_path: &Path,
     out_dir: Option<&Path>,
@@ -511,11 +510,9 @@ fn execute_cells(
             statuses.push((CellStatus::Skipped, None));
             continue;
         }
-        // One fresh recorder per cell, installed globally for the cell's
-        // duration so leaf libraries feed it: the bundle must be a pure
-        // function of the cell's coordinates, not of campaign context.
-        let cell_rec = Arc::new(Recorder::new());
-        install_global(cell_rec.clone());
+        // One fresh recorder per cell: the bundle must be a pure function
+        // of the cell's coordinates, not of campaign context.
+        let cell_rec = Recorder::new();
         let config = match plan.scale {
             Scale::Paper => AuditConfig::paper(coord.seed),
             Scale::Small => AuditConfig::small(coord.seed),

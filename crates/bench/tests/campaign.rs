@@ -2,14 +2,16 @@
 //! resume semantics, crash recovery, the `--run-dir` overwrite guard, and
 //! golden-pinned analysis tables for the committed CI smoke plan.
 //!
-//! Every campaign here runs as a **subprocess** of the real `repro` binary
-//! (`CARGO_BIN_EXE_repro`): cells install a fresh global recorder, so two
-//! in-process campaigns racing in the same test binary would observe each
-//! other.
+//! Most campaigns here run as a **subprocess** of the real `repro` binary
+//! (`CARGO_BIN_EXE_repro`) to test the CLI boundary; one test runs two
+//! in-process campaigns concurrently to show that cells stay isolated.
 //!
 //! Regenerate the table goldens after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test campaign`.
 
+use alexa_bench::campaign::run_campaign_with;
+use alexa_obs::campaign::CELLS_DIR;
+use alexa_obs::Recorder;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -309,4 +311,46 @@ fn smoke_plan_tables_match_goldens() {
             );
         }
     }
+}
+
+/// Each cell records into its own recorder, so two campaigns running at
+/// once in one process cannot see each other's metrics: both commit the
+/// same cell bundle bytes as a sequential run.
+#[test]
+fn concurrent_in_process_campaigns_stay_isolated() {
+    let dir = scratch("concurrent");
+    let plan = dir.join("one.json");
+    std::fs::write(
+        &plan,
+        r#"{"schema": 1, "name": "one", "scale": "small", "seeds": [7], "faults": ["none"]}"#,
+    )
+    .expect("write plan");
+    let run = |name: &str| {
+        let out = dir.join(name);
+        run_campaign_with(&plan, Some(&out), &Recorder::new(), &[]).expect("campaign runs");
+        snapshot(&out.join(CELLS_DIR))
+    };
+    let sequential = run("sequential");
+    // Both campaigns start together so their cells overlap in time.
+    let start = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            run("a")
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            run("b")
+        });
+        (a.join().expect("campaign a"), b.join().expect("campaign b"))
+    });
+    assert!(sequential.keys().any(|k| k.ends_with("metrics.json")));
+    assert_eq!(
+        a, b,
+        "concurrent campaigns committed different cell bundles"
+    );
+    assert_eq!(
+        a, sequential,
+        "concurrent cell bundles differ from a sequential run"
+    );
 }

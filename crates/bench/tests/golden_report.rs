@@ -144,3 +144,26 @@ fn defenses_small7_flaky_matches_golden() {
         ),
     );
 }
+
+/// An artifact shard's allocation window holds only that artifact's own
+/// work: rendering `table6` alone or after `table5` (which asks the index
+/// for the same common-slot masks) meters the same bytes for `table6`.
+#[test]
+fn artifact_alloc_does_not_depend_on_earlier_artifacts() {
+    let obs = AuditRun::execute(AuditConfig::small(7));
+    let table6_alloc = |wanted: &[&str]| {
+        let rec = Recorder::new();
+        render_all(&obs, wanted, 7, Some(1), &FaultProfile::none(), &rec);
+        let report = rec.report();
+        let shard = report
+            .shards_in("artifact")
+            .into_iter()
+            .find(|s| s.label == "table6")
+            .map(|s| (s.alloc_count, s.alloc_bytes));
+        shard.expect("table6 shard recorded")
+    };
+    assert_eq!(
+        table6_alloc(&["table6"]),
+        table6_alloc(&["table5", "table6"])
+    );
+}

@@ -36,7 +36,7 @@
 
 use crate::{job_policy, locked, par_map};
 use alexa_fault::{retry, FaultChannel, FaultPlane, FaultProfile, RetryBudget, RetryPolicy};
-use alexa_obs::Json;
+use alexa_json::Json;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};

@@ -189,8 +189,8 @@ impl CoverageReport {
     /// Every field is a structural count or a fixed name — nothing
     /// schedule- or wall-clock-dependent — so the document honors the same
     /// byte-equality contract as the rest of the bundle.
-    pub fn to_json(&self) -> alexa_obs::Json {
-        use alexa_obs::Json;
+    pub fn to_json(&self) -> alexa_json::Json {
+        use alexa_json::Json;
         let sections = self
             .sections
             .iter()
@@ -366,7 +366,7 @@ mod tests {
         ledger.degraded = true;
         report.merge_ledger("Dating", &ledger);
         let j = report.to_json();
-        use alexa_obs::Json;
+        use alexa_json::Json;
         assert_eq!(j.get("profile").and_then(Json::as_str), Some("flaky"));
         assert_eq!(
             j.get("sections")

@@ -1,6 +1,6 @@
 //! Fault channels and named fault profiles.
 
-use alexa_obs::Json;
+use alexa_json::Json;
 use std::fmt;
 use std::str::FromStr;
 

@@ -15,7 +15,7 @@
 //! Two rules keep that true:
 //!
 //! * **The observer never meters itself.** Bookkeeping inside the shared
-//!   [`Recorder`] (aggregate-map inserts, stage records, volatile counters)
+//!   [`Recorder`] (shard-map inserts, stage records, volatile counters)
 //!   allocates on whichever thread happens to touch a name first — a
 //!   schedule artifact, not workload behaviour. Those paths run under a
 //!   [`pause`] guard, so their allocations are invisible to the meter.
@@ -197,7 +197,7 @@ pub fn window_peak() -> u64 {
 /// RAII guard that hides the current thread's allocations from the meter.
 ///
 /// Held by the [`Recorder`](crate::Recorder)'s internal bookkeeping so that
-/// schedule-dependent allocations (who first inserts an aggregate name, who
+/// schedule-dependent allocations (who first inserts a volatile name, who
 /// extends the shared stage vector) never perturb the deterministic
 /// workload counters. Nests: the guard restores the previous state.
 pub struct PauseGuard {

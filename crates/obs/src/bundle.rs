@@ -5,11 +5,12 @@
 //! * `manifest.json` — identity: schema version, seed, fault profile, the
 //!   observations digest, and an optional coverage report.
 //! * `metrics.json` — flat deterministic metrics (per-stage work, counter
-//!   totals, aggregate counts, per-group summaries and histograms).
+//!   totals summed across shards, per-group summaries and histograms).
 //! * `trace.json` — the full span tree in work units.
 //! * `memory.json` — the deterministic allocation plane: per-stage and
 //!   per-shard allocation deltas, per-group summaries and size histograms
-//!   (schema 2; OS-level RSS is volatile and deliberately absent).
+//!   (since schema 2; OS-level RSS is volatile and deliberately absent).
+//!   Run-wide allocation totals are the sums of this file, nowhere else.
 //! * `profile.folded` — a folded-stack self-time profile (flamegraph input).
 //!
 //! Every byte of every file is a pure function of `(seed, fault profile,
@@ -19,8 +20,8 @@
 //! guarantee). Two bundles are therefore directly comparable with `obs-diff`,
 //! and CI asserts their byte-equality across worker counts.
 
-use crate::json::Json;
 use crate::report::Report;
+use alexa_json::Json;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,8 +31,9 @@ use std::path::{Path, PathBuf};
 ///
 /// History: 1 = four-file bundle (manifest/metrics/trace/profile); 2 =
 /// adds `memory.json` plus allocation-delta fields on trace spans and
-/// metrics aggregates.
-pub const SCHEMA_VERSION: u64 = 2;
+/// metrics aggregates; 3 = drops the `aggregates` block from
+/// `metrics.json` (shard counters are the only metrics path).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// File name of the bundle manifest.
 pub const MANIFEST_FILE: &str = "manifest.json";

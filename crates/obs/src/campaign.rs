@@ -21,7 +21,7 @@
 //! instance of one id produced byte-identical bundles — the executable form
 //! of the determinism contract that CI shell loops used to check.
 
-use crate::json::{Json, JsonParseError};
+use alexa_json::{Json, JsonParseError};
 use std::fmt;
 
 /// Version of the plan document schema. Bump on any change to the meaning

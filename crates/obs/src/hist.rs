@@ -8,7 +8,7 @@
 //! method on exact integers — no interpolation, no floating point — for the
 //! same reason.
 
-use crate::json::Json;
+use alexa_json::Json;
 
 /// Number of log2 buckets: bucket 0 plus one per bit of a `u64`.
 pub(crate) const BUCKETS: usize = 65;

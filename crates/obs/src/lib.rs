@@ -16,13 +16,14 @@
 //!   never in completion order, so the report's *structure* (groups, labels,
 //!   span names, counter values) is identical for `jobs = 1` and `jobs = N`;
 //!   only the wall-clock numbers differ. Top-level pipeline stages are timed
-//!   with [`Recorder::stage`], and leaf libraries (stats, crawler) feed
-//!   name-keyed [`Aggregate`]s whose totals are order-independent sums.
+//!   with [`Recorder::stage`]. Shard logs, stages and the memory ledger are
+//!   the only metrics path: leaf libraries (stats, the crawler) record
+//!   nothing themselves — their callers count what they return.
 //! * [`Report`] — an immutable snapshot with a human-readable span tree
 //!   ([`Report::render_tree`], the `repro --trace` output) and a JSON export
 //!   ([`Report::to_json`], the `repro --metrics-out` payload) built on the
-//!   dependency-free [`Json`] value type (which also parses:
-//!   [`Json::parse`]).
+//!   dependency-free [`Json`] value type (re-exported from `alexa-json`;
+//!   it also parses: [`Json::parse`]).
 //! * **Run-ledger bundles** ([`bundle`]) — `repro --run-dir` writes a
 //!   four-file directory (manifest / metrics / trace / folded profile) whose
 //!   every byte is deterministic: durations are virtual **work units**
@@ -49,15 +50,14 @@ pub mod alloc;
 pub mod bundle;
 pub mod campaign;
 mod hist;
-mod json;
 pub mod names;
 mod recorder;
 mod report;
 mod shard;
 
+pub use alexa_json::{Json, JsonParseError};
 pub use alloc::{peak_rss_kb, AllocSnapshot};
 pub use hist::{percentile, Histogram, Summary};
-pub use json::{Json, JsonParseError};
-pub use recorder::{agg_count, agg_time, global, install_global, Recorder};
-pub use report::{Aggregate, Report, ShardReport, StageRec};
+pub use recorder::Recorder;
+pub use report::{Report, ShardReport, StageRec};
 pub use shard::{ShardLog, SpanRec};

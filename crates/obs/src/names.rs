@@ -1,7 +1,7 @@
 //! The single-source registry of observability names.
 //!
-//! Every span, stage, counter, shard group, coverage section and global
-//! aggregate name used anywhere in the workspace must appear here, in
+//! Every span, stage, counter, shard group, coverage section and volatile
+//! name used anywhere in the workspace must appear here, in
 //! `dotted.lowercase` form. `alexa-analyzer` extracts this constant
 //! lexically and fails CI when a call site uses a name that is missing or
 //! mis-shaped (lint AO01), so the registry cannot drift from the code.
@@ -11,83 +11,68 @@
 
 /// All sanctioned observability names, sorted.
 pub const REGISTRY: &[&str] = &[
-    "alloc.bytes",               // aggregate: heap bytes requested across shard windows
-    "alloc.count",               // aggregate: heap allocations across shard windows
-    "alloc.peak_bytes",          // aggregate: summed per-shard windowed peak net-live bytes
-    "artifact",                  // shard group: report artifact renders
-    "audio",                     // span: audio tap + transcript harvest
-    "audio.transcripts",         // counter: voice transcripts harvested
-    "avs",                       // shard group: AVS catalogue passes
-    "avs.pass",                  // stage: AVS skill-store sweep
-    "avs.skills",                // coverage section: skills seen via AVS
-    "backend.backoff_ms",        // volatile: virtual transport backoff accumulated
-    "backend.committed",         // volatile: shards committed with a result
-    "backend.lost",              // volatile: shards lost to the failure taxonomy
-    "backend.retries.poll",      // volatile: mock-remote poll retries
-    "backend.retries.result",    // volatile: mock-remote result-fetch retries
-    "backend.retries.submit",    // volatile: mock-remote submit retries
-    "backend.shards",            // volatile: shards offered to a backend
-    "boot",                      // span: device boot + profile setup
-    "campaign.cells",            // stage: execute every plan cell
-    "campaign.plan",             // stage: plan load + parse + conflict checks
-    "campaign.tables",           // stage: derive analysis tables from cell bundles
-    "campaign.verify",           // stage: cross-instance byte-equality verification
-    "cell",                      // shard group: one campaign cell instance
-    "cell.executed",             // counter: cells executed this invocation
-    "cell.skipped",              // counter: cells skipped as already complete
-    "crawl.bids",                // counter: bids captured across crawl visits
-    "crawl.creatives",           // counter: ad creatives captured across crawl visits
-    "crawl.post",                // span: web crawl after interactions
-    "crawl.pre",                 // span: web crawl before interactions
-    "crawl.syncs",               // counter: cookie syncs captured across crawl visits
-    "crawl.visits",              // counter + coverage section: crawl page visits
-    "crawler.bids",              // aggregate: bids observed by the crawler
-    "crawler.creatives",         // aggregate: ad creatives captured
-    "crawler.syncs",             // aggregate: cookie syncs observed
-    "crawler.visit",             // aggregate timer: one crawl visit
-    "crawler.visits",            // aggregate: crawl visits completed
-    "derive.defended",           // stage: defended audits (faulted runs only)
-    "dsar.after_install",        // span: DSAR export after installs
-    "dsar.after_interaction1",   // span: DSAR export after first interaction round
-    "dsar.after_interaction2",   // span: DSAR export after second interaction round
-    "dsar.exports",              // counter: DSAR exports harvested
-    "fault.bid_loss",            // aggregate: bids dropped by the bid_loss channel
-    "fault.injected",            // counter: faults injected (ledger total)
-    "fault.losses",              // counter: permanent losses after retry budget
-    "fault.retries",             // counter: retries consumed by faults
-    "index.build",               // stage: shared analysis-index construction
-    "index.defended",            // stage: defended-audit index builds (faulted runs only)
-    "install",                   // span: skill installation round
-    "install.failed",            // counter: installs that failed permanently
-    "interact",                  // span: skill interaction round
-    "marketplace",               // stage: marketplace generation
-    "mem.peak_rss_kb",           // volatile: process peak RSS (VmHWM), schedule-dependent
-    "merge",                     // stage: deterministic shard merge
-    "persona",                   // shard group: per-persona pipeline shards
-    "persona.shards",            // stage: per-persona experiment shards
-    "policy.documents",          // counter: policy documents downloaded
-    "policy.download",           // stage: policy document download pass
-    "policy.downloads",          // coverage section: policy download coverage
-    "render",                    // span: report rendering
-    "render.all",                // stage: render all report artifacts
-    "render.bytes",              // counter: bytes of rendered artifacts
-    "skill.installs",            // coverage section: skill install coverage
-    "skill.interactions",        // coverage section: skill interaction coverage
-    "skills",                    // span: skill catalogue resolution
-    "stats.bootstrap.resamples", // aggregate: bootstrap resamples drawn
-    "stats.bootstrap_ci",        // aggregate timer: bootstrap CI computation
-    "stats.mann_whitney_permutation", // aggregate timer: permutation MWU test
-    "stats.mann_whitney_u",      // aggregate timer: Mann-Whitney U test
-    "stats.mwu.permutations",    // aggregate: MWU permutations drawn
-    "tap.bytes",                 // counter: bytes seen by the network tap
-    "tap.flows",                 // counter: flows seen by the network tap
-    "tap.sessions",              // counter: TLS sessions seen by the tap
-    "web.ecosystem",             // stage: web ad-ecosystem construction
-    "worker.crashes",            // volatile: worker crashes (exit / dead pipe / EOF)
-    "worker.malformed",          // volatile: protocol violations from workers
-    "worker.respawned",          // volatile: workers replaced after a failure
-    "worker.spawned",            // volatile: workers started for the initial pool
-    "worker.timeouts",           // volatile: per-shard timeouts that killed a worker
+    "artifact",                // shard group: report artifact renders
+    "audio",                   // span: audio tap + transcript harvest
+    "audio.transcripts",       // counter: voice transcripts harvested
+    "avs",                     // shard group: AVS catalogue passes
+    "avs.pass",                // stage: AVS skill-store sweep
+    "avs.skills",              // coverage section: skills seen via AVS
+    "backend.backoff_ms",      // volatile: virtual transport backoff accumulated
+    "backend.committed",       // volatile: shards committed with a result
+    "backend.lost",            // volatile: shards lost to the failure taxonomy
+    "backend.retries.poll",    // volatile: mock-remote poll retries
+    "backend.retries.result",  // volatile: mock-remote result-fetch retries
+    "backend.retries.submit",  // volatile: mock-remote submit retries
+    "backend.shards",          // volatile: shards offered to a backend
+    "boot",                    // span: device boot + profile setup
+    "campaign.cells",          // stage: execute every plan cell
+    "campaign.plan",           // stage: plan load + parse + conflict checks
+    "campaign.tables",         // stage: derive analysis tables from cell bundles
+    "campaign.verify",         // stage: cross-instance byte-equality verification
+    "cell",                    // shard group: one campaign cell instance
+    "cell.executed",           // counter: cells executed this invocation
+    "cell.skipped",            // counter: cells skipped as already complete
+    "crawl.bids",              // counter: bids captured across crawl visits
+    "crawl.creatives",         // counter: ad creatives captured across crawl visits
+    "crawl.post",              // span: web crawl after interactions
+    "crawl.pre",               // span: web crawl before interactions
+    "crawl.syncs",             // counter: cookie syncs captured across crawl visits
+    "crawl.visits",            // counter + coverage section: crawl page visits
+    "derive.defended",         // stage: defended audits (faulted runs only)
+    "dsar.after_install",      // span: DSAR export after installs
+    "dsar.after_interaction1", // span: DSAR export after first interaction round
+    "dsar.after_interaction2", // span: DSAR export after second interaction round
+    "dsar.exports",            // counter: DSAR exports harvested
+    "fault.injected",          // counter: faults injected (ledger total)
+    "fault.losses",            // counter: permanent losses after retry budget
+    "fault.retries",           // counter: retries consumed by faults
+    "index.build",             // stage: shared analysis-index construction
+    "index.defended",          // stage: defended-audit index builds (faulted runs only)
+    "install",                 // span: skill installation round
+    "install.failed",          // counter: installs that failed permanently
+    "interact",                // span: skill interaction round
+    "marketplace",             // stage: marketplace generation
+    "mem.peak_rss_kb",         // volatile: process peak RSS (VmHWM), schedule-dependent
+    "merge",                   // stage: deterministic shard merge
+    "persona",                 // shard group: per-persona pipeline shards
+    "persona.shards",          // stage: per-persona experiment shards
+    "policy.download",         // stage: policy document download pass
+    "policy.downloads",        // coverage section: policy download coverage
+    "render",                  // span: report rendering
+    "render.all",              // stage: render all report artifacts
+    "render.bytes",            // counter: bytes of rendered artifacts
+    "skill.installs",          // coverage section: skill install coverage
+    "skill.interactions",      // coverage section: skill interaction coverage
+    "skills",                  // span: skill catalogue resolution
+    "tap.bytes",               // counter: bytes seen by the network tap
+    "tap.flows",               // counter: flows seen by the network tap
+    "tap.sessions",            // counter: TLS sessions seen by the tap
+    "web.ecosystem",           // stage: web ad-ecosystem construction
+    "worker.crashes",          // volatile: worker crashes (exit / dead pipe / EOF)
+    "worker.malformed",        // volatile: protocol violations from workers
+    "worker.respawned",        // volatile: workers replaced after a failure
+    "worker.spawned",          // volatile: workers started for the initial pool
+    "worker.timeouts",         // volatile: per-shard timeouts that killed a worker
 ];
 
 /// Whether `name` is a sanctioned observability name.
@@ -130,7 +115,7 @@ mod tests {
     #[test]
     fn lookup_works() {
         assert!(is_registered("boot"));
-        assert!(is_registered("stats.mwu.permutations"));
+        assert!(is_registered("crawl.bids"));
         assert!(!is_registered("render-all"));
         assert!(!is_registered("mystery"));
     }

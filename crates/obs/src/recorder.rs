@@ -1,16 +1,16 @@
-//! The thread-safe collector and the process-wide recorder handle.
+//! The thread-safe collector.
 //!
 //! Every mutation of the shared state below runs under an allocation-meter
-//! [`pause`](crate::alloc::pause) guard: which thread first inserts an
-//! aggregate name or extends the stage vector is a schedule artifact, and
+//! [`pause`](crate::alloc::pause) guard: which thread first inserts a
+//! volatile name or extends the stage vector is a schedule artifact, and
 //! metering it would break the byte-parity of the committed allocation
 //! counters across `--jobs` values and backends (DESIGN.md §16).
 
 use crate::alloc;
-use crate::report::{Aggregate, Report, ShardReport, StageRec};
+use crate::report::{Report, ShardReport, StageRec};
 use crate::shard::ShardLog;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 #[derive(Default)]
@@ -23,7 +23,6 @@ struct Inner {
     /// inside the stage closure), so the attribution is schedule-independent.
     open_stages: Vec<usize>,
     shards: BTreeMap<(String, usize), ShardReport>,
-    aggregates: BTreeMap<String, Aggregate>,
     /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
     /// retries, respawns, timeouts. Diagnostic only — surfaced by the
     /// human-facing report views and **never** by the run-ledger surfaces,
@@ -35,8 +34,8 @@ struct Inner {
 ///
 /// One recorder observes one pipeline run. Shard logs submitted from worker
 /// threads are keyed by `(group, structural index)` and merged in key order;
-/// stage spans are recorded from the (sequential) orchestration thread;
-/// aggregates are name-keyed order-independent sums. A disabled recorder
+/// stage spans are recorded from the (sequential) orchestration thread. A
+/// disabled recorder
 /// makes every operation a no-op, so instrumented code needs no `if`s.
 pub struct Recorder {
     enabled: bool,
@@ -176,22 +175,6 @@ impl Recorder {
             }
             None => String::new(),
         };
-        if log.alloc_count > 0 || log.alloc_bytes > 0 {
-            // Run totals, straight into the aggregates map (the lock is
-            // already held — `Recorder::count` would deadlock here).
-            let a = g.aggregates.entry("alloc.count".to_string()).or_default();
-            a.count += log.alloc_count;
-            a.calls += 1;
-            let a = g.aggregates.entry("alloc.bytes".to_string()).or_default();
-            a.count += log.alloc_bytes;
-            a.calls += 1;
-            let a = g
-                .aggregates
-                .entry("alloc.peak_bytes".to_string())
-                .or_default();
-            a.count += log.alloc_peak;
-            a.calls += 1;
-        }
         g.shards.insert(
             (log.group.clone(), log.index),
             ShardReport {
@@ -209,57 +192,6 @@ impl Recorder {
                 counters: log.counters,
             },
         );
-    }
-
-    /// Add `n` to a name-keyed aggregate counter.
-    pub fn count(&self, name: &str, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        let _quiet = alloc::pause();
-        let mut g = self.locked();
-        g.aggregates.entry(name.to_string()).or_default().count += n;
-    }
-
-    /// Time `f` into a name-keyed aggregate (one call, its duration added).
-    ///
-    /// This is the instrumentation point for leaf libraries (bootstrap
-    /// resampling, MWU permutation, crawler visits) where per-call spans
-    /// would be noise: totals are order-independent sums, so the aggregate
-    /// is deterministic in everything but wall time.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let _quiet = alloc::pause();
-        let mut g = self.locked();
-        let a = g.aggregates.entry(name.to_string()).or_default();
-        a.calls += 1;
-        a.total_us += elapsed_us;
-        out
-    }
-
-    /// Merge an aggregate delta harvested from another recorder.
-    ///
-    /// The process backend's child workers record leaf-library aggregates
-    /// (crawler visits, bootstrap resamples) into their own recorder; the
-    /// parent merges the per-shard `(count, calls)` deltas shipped in each
-    /// reply so `metrics.json` is byte-identical to an in-process run.
-    /// `total_us` is deliberately not merged: wall clock is excluded from
-    /// every deterministic surface, and cross-process timing would only
-    /// add noise to the schedule-dependent ones.
-    pub fn merge_aggregate(&self, name: &str, count: u64, calls: u64) {
-        if !self.enabled || (count == 0 && calls == 0) {
-            return;
-        }
-        let _quiet = alloc::pause();
-        let mut g = self.locked();
-        let a = g.aggregates.entry(name.to_string()).or_default();
-        a.count += count;
-        a.calls += calls;
     }
 
     /// Add `n` to a name-keyed **volatile** counter.
@@ -303,53 +235,8 @@ impl Recorder {
         Report {
             stages: g.stages.clone(),
             shards: g.shards.values().cloned().collect(),
-            aggregates: g.aggregates.clone(),
             volatile: g.volatile.clone(),
         }
-    }
-}
-
-static GLOBAL: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
-
-/// Install (or replace) the process-wide recorder handle.
-///
-/// Libraries too deep to thread a recorder through (stats, the crawler)
-/// report to this handle via [`agg_count`] / [`agg_time`]; when nothing is
-/// installed those are no-ops. The handle is **swappable** so sequential
-/// multi-run drivers — the campaign runner executes one audit per cell —
-/// can give every run its own recorder without cross-run aggregate
-/// contamination. Swapping while an instrumented run is in flight would
-/// split that run's aggregates across recorders; callers swap only between
-/// runs. Returns `true` when a previously installed handle was replaced.
-pub fn install_global(rec: Arc<Recorder>) -> bool {
-    let mut g = GLOBAL.write().unwrap_or_else(|p| p.into_inner());
-    g.replace(rec).is_some()
-}
-
-/// The installed process-wide recorder handle, if any.
-pub fn global() -> Option<Arc<Recorder>> {
-    GLOBAL
-        .read()
-        .unwrap_or_else(|p| p.into_inner())
-        .as_ref()
-        .map(Arc::clone)
-}
-
-/// Add to a name-keyed aggregate on the global recorder (no-op when absent).
-pub fn agg_count(name: &str, n: u64) {
-    if let Some(rec) = global() {
-        rec.count(name, n);
-    }
-}
-
-/// Time `f` into a name-keyed aggregate on the global recorder.
-///
-/// When no recorder is installed (or it is disabled) `f` runs directly with
-/// zero overhead beyond the lock probe.
-pub fn agg_time<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    match global() {
-        Some(rec) => rec.time(name, f),
-        None => f(),
     }
 }
 
@@ -423,37 +310,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_sum_across_calls() {
-        let rec = Recorder::new();
-        rec.count("resamples", 256);
-        rec.count("resamples", 44);
-        let v = rec.time("visit", || 5);
-        assert_eq!(v, 5);
-        rec.time("visit", || ());
-        let r = rec.report();
-        assert_eq!(r.aggregates["resamples"].count, 300);
-        assert_eq!(r.aggregates["visit"].calls, 2);
-    }
-
-    #[test]
     fn disabled_recorder_collects_nothing() {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
-        rec.stage("s", || {
-            rec.count("c", 1);
-        });
+        rec.stage("s", || ());
         let mut log = rec.shard("g", 0, "l");
         log.add("c", 1);
         rec.submit(log);
-        rec.time("t", || ());
         rec.volatile("worker.crashes", 1);
         let r = rec.report();
-        assert!(r.stages.is_empty() && r.shards.is_empty() && r.aggregates.is_empty());
+        assert!(r.stages.is_empty() && r.shards.is_empty());
         assert!(r.volatile.is_empty());
     }
 
     #[test]
-    fn shard_alloc_attributes_to_the_open_stage_and_aggregates() {
+    fn shard_alloc_attributes_to_the_open_stage() {
         let rec = Recorder::new();
         rec.stage("persona.shards", || {
             for i in 0..2 {
@@ -473,10 +344,11 @@ mod tests {
             stage.alloc_count,
             r.shards.iter().map(|s| s.alloc_count).sum::<u64>()
         );
-        assert_eq!(r.aggregates["alloc.count"].count, stage.alloc_count);
-        assert_eq!(r.aggregates["alloc.bytes"].count, stage.alloc_bytes);
-        assert_eq!(r.aggregates["alloc.count"].calls, 2);
-        assert!(r.aggregates["alloc.peak_bytes"].count > 0);
+        assert_eq!(
+            stage.alloc_bytes,
+            r.shards.iter().map(|s| s.alloc_bytes).sum::<u64>()
+        );
+        assert!(r.shards.iter().all(|s| s.alloc_peak > 0));
         // Both shards ran the identical workload: identical deltas.
         assert_eq!(r.shards[0].alloc_count, r.shards[1].alloc_count);
         assert_eq!(r.shards[0].alloc_bytes, r.shards[1].alloc_bytes);
@@ -507,28 +379,5 @@ mod tests {
         let r = rec.report();
         assert_eq!(r.volatile["worker.timeouts"], 5);
         assert!(!r.volatile.contains_key("backend.shards"));
-    }
-
-    #[test]
-    fn global_install_is_swappable() {
-        // The global is process-wide and other tests may swap it too, so
-        // assert only on the recorder this test installed last: after a
-        // swap, aggregates must flow to the new handle and never to the
-        // replaced one.
-        let first = Arc::new(Recorder::new());
-        install_global(first.clone());
-        let second = Arc::new(Recorder::new());
-        let replaced = install_global(second.clone());
-        assert!(replaced, "the first handle must have been replaced");
-        agg_count("global.counter", 2);
-        agg_time("global.timer", || ());
-        let r = second.report();
-        // Concurrent tests may also install; only check the "never the
-        // replaced one" half unconditionally.
-        assert!(first.report().aggregates.is_empty());
-        if !r.aggregates.is_empty() {
-            assert_eq!(r.aggregates["global.counter"].count, 2);
-            assert_eq!(r.aggregates["global.timer"].calls, 1);
-        }
     }
 }

@@ -3,8 +3,8 @@
 //! histograms and percentile summaries in work units).
 
 use crate::hist::{Histogram, Summary};
-use crate::json::Json;
 use crate::shard::SpanRec;
+use alexa_json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -36,17 +36,6 @@ pub struct StageRec {
     /// closed. Schedule- and substrate-dependent like `dur_us`: shown by
     /// the human views, **never** by a ledger surface.
     pub peak_rss_kb: u64,
-}
-
-/// A name-keyed aggregate fed by leaf libraries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Aggregate {
-    /// Accumulated units (resamples, permutations, bids, ...).
-    pub count: u64,
-    /// Timed invocations recorded into this aggregate.
-    pub calls: u64,
-    /// Total time across timed invocations, microseconds.
-    pub total_us: u64,
 }
 
 /// The merged record of one finished shard.
@@ -92,8 +81,6 @@ pub struct Report {
     pub stages: Vec<StageRec>,
     /// Shard reports sorted by `(group, index)`.
     pub shards: Vec<ShardReport>,
-    /// Name-keyed aggregates.
-    pub aggregates: BTreeMap<String, Aggregate>,
     /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
     /// worker respawns, transport retries, timeouts. Shown by the
     /// human-facing views ([`Report::render_tree`], [`Report::to_json`])
@@ -115,8 +102,8 @@ impl Report {
     }
 
     /// Everything except wall-clock numbers: stage names/depths/work, shard
-    /// keys, labels, work totals, span shapes (with work durations), counter
-    /// values, and aggregate counts/calls.
+    /// keys, labels, work totals, span shapes (with work durations) and
+    /// counter values.
     ///
     /// Two runs of the same pipeline — at any worker counts — must produce
     /// equal structures; the tests enforce this. Work units are part of the
@@ -134,7 +121,6 @@ impl Report {
             Vec<(String, usize, u64)>,
             BTreeMap<String, u64>,
         )>,
-        Vec<(String, u64, u64)>,
     ) {
         (
             self.stages
@@ -156,10 +142,6 @@ impl Report {
                         s.counters.clone(),
                     )
                 })
-                .collect(),
-            self.aggregates
-                .iter()
-                .map(|(k, a)| (k.clone(), a.count, a.calls))
                 .collect(),
         )
     }
@@ -218,19 +200,6 @@ impl Report {
                 let _ = writeln!(out, "      [{}]", counters.join(", "));
             }
         }
-        if !self.aggregates.is_empty() {
-            out.push_str("aggregates:\n");
-            for (name, a) in &self.aggregates {
-                let _ = writeln!(
-                    out,
-                    "  {:<34} count={:<10} calls={:<8} {:>10.1} ms",
-                    name,
-                    a.count,
-                    a.calls,
-                    ms(a.total_us)
-                );
-            }
-        }
         if !self.volatile.is_empty() {
             out.push_str("volatile (substrate counters, not part of the ledger):\n");
             for (name, v) in &self.volatile {
@@ -244,7 +213,7 @@ impl Report {
     ///
     /// Top-level keys: `stages` (per-stage wall time + work units), `shards`
     /// (per-shard wall time, work, spans, counters — persona shards carry
-    /// the flow/bid/creative counts), `aggregates`. Wall-clock fields make
+    /// the flow/bid/creative counts), `volatile`. Wall-clock fields make
     /// this surface schedule-dependent; the deterministic twin is
     /// [`Report::ledger_metrics_json`].
     pub fn to_json(&self) -> Json {
@@ -299,20 +268,6 @@ impl Report {
                 ])
             })
             .collect();
-        let aggregates = self
-            .aggregates
-            .iter()
-            .map(|(name, a)| {
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(a.count)),
-                        ("calls".into(), Json::Int(a.calls)),
-                        ("ms".into(), ms(a.total_us)),
-                    ]),
-                )
-            })
-            .collect();
         let volatile = self
             .volatile
             .iter()
@@ -321,7 +276,6 @@ impl Report {
         Json::Obj(vec![
             ("stages".into(), Json::Arr(stages)),
             ("shards".into(), Json::Arr(shards)),
-            ("aggregates".into(), Json::Obj(aggregates)),
             ("volatile".into(), Json::Obj(volatile)),
         ])
     }
@@ -484,7 +438,7 @@ impl Report {
 
     /// The run-ledger metrics document (`metrics.json`): flat deterministic
     /// metrics — per-stage work, counter totals summed across shards,
-    /// aggregate counts/calls, per-group summaries and histograms.
+    /// per-group summaries and histograms.
     pub fn ledger_metrics_json(&self) -> Json {
         let stages = self
             .stages
@@ -501,19 +455,6 @@ impl Report {
             .into_iter()
             .map(|(k, v)| (k, Json::Int(v)))
             .collect();
-        let aggregates = self
-            .aggregates
-            .iter()
-            .map(|(name, a)| {
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(a.count)),
-                        ("calls".into(), Json::Int(a.calls)),
-                    ]),
-                )
-            })
-            .collect();
         let summaries = self
             .work_summaries()
             .into_iter()
@@ -528,7 +469,6 @@ impl Report {
             ("schema".into(), Json::Int(crate::bundle::SCHEMA_VERSION)),
             ("stages".into(), Json::Obj(stages)),
             ("counters".into(), Json::Obj(counters)),
-            ("aggregates".into(), Json::Obj(aggregates)),
             ("summaries".into(), Json::Obj(summaries)),
             ("histograms".into(), Json::Obj(histograms)),
         ])
@@ -639,7 +579,6 @@ mod tests {
                 rec.submit(log);
             }
         });
-        rec.count("crawler.bids", 7);
         rec.volatile("worker.respawned", 2);
         rec.report()
     }
@@ -652,7 +591,6 @@ mod tests {
         assert!(tree.contains("Connected Car"));
         assert!(tree.contains("install"));
         assert!(tree.contains("tap.packets=12"));
-        assert!(tree.contains("crawler.bids"));
         assert!(tree.contains("wu"));
         assert!(tree.contains("volatile"));
         assert!(tree.contains("worker.respawned"));
@@ -665,7 +603,6 @@ mod tests {
         assert!(j.contains("\"persona\""));
         assert!(j.contains("\"Connected Car\""));
         assert!(j.contains("\"tap.packets\": 12"));
-        assert!(j.contains("\"crawler.bids\""));
         assert!(j.contains("\"work\": 13"));
         assert!(j.contains("\"volatile\""));
         assert!(j.contains("\"worker.respawned\": 2"));
@@ -734,7 +671,7 @@ mod tests {
         assert!(metrics.contains("\"summaries\""));
         assert!(metrics.contains("\"histograms\""));
         assert!(metrics.contains("\"tap.packets\": 24"));
-        assert!(metrics.contains("\"alloc.count\""));
+        assert!(!metrics.contains("\"aggregates\""));
         assert!(memory.contains("\"stage_alloc\""));
         assert!(memory.contains("\"size_histograms\""));
         assert!(memory.contains("\"alloc_peak_bytes\""));

@@ -2,7 +2,7 @@
 
 use crate::alloc;
 use crate::hist::Histogram;
-use crate::json::Json;
+use alexa_json::Json;
 use std::collections::BTreeMap;
 use std::time::Instant;
 

@@ -678,50 +678,6 @@ pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> D
         "",
         None,
     );
-    // Aggregates: count and calls per name.
-    let aggs = |doc: &Json| -> BTreeMap<String, (u64, u64)> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("aggregates").and_then(Json::as_obj) {
-            for (name, v) in fields {
-                out.insert(
-                    name.clone(),
-                    (
-                        v.get("count").and_then(Json::as_u64).unwrap_or(0),
-                        v.get("calls").and_then(Json::as_u64).unwrap_or(0),
-                    ),
-                );
-            }
-        }
-        out
-    };
-    let (aa, ab) = (aggs(&a.metrics), aggs(&b.metrics));
-    for (name, va) in &aa {
-        match ab.get(name) {
-            None => report.push(
-                Severity::Drift,
-                "aggregate",
-                name,
-                "aggregate missing from candidate".to_string(),
-            ),
-            Some(vb) if va == vb => {}
-            Some((bc, bl)) => report.push(
-                Severity::Drift,
-                "aggregate",
-                name,
-                format!("count {} -> {bc}, calls {} -> {bl}", va.0, va.1),
-            ),
-        }
-    }
-    for name in ab.keys() {
-        if !aa.contains_key(name) {
-            report.push(
-                Severity::Note,
-                "aggregate",
-                name,
-                "aggregate only in candidate".to_string(),
-            );
-        }
-    }
     diff_summaries(&mut report, a, b, opts);
     diff_histograms(&mut report, a, b);
     diff_shards(&mut report, a, b, opts);

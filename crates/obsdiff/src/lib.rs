@@ -6,11 +6,11 @@
 //! * `obs-diff diff A B` loads two run-ledger bundles (directories written
 //!   by `repro --run-dir`, see `alexa_obs::bundle`) and reports every
 //!   difference: per-stage work deltas, counter drift (including `fault.*`),
-//!   aggregate shifts, percentile/histogram movement, coverage regressions,
-//!   and added/removed stages, shards or spans. Two bundles from the same
+//!   percentile/histogram movement, coverage regressions, and
+//!   added/removed stages, shards or spans. Two bundles from the same
 //!   `(seed, fault profile)` must diff clean — CI relies on it.
 //! * `obs-diff gate --baseline B --candidate C` is the bench regression
-//!   gate over `BENCH_audit.json` (JSON-lines appended by `repro --bench`),
+//!   gate over `BENCH_audit.json` (JSON lines printed by `repro --bench`),
 //!   a typed-error Rust port of the retired `ci/bench_gate.py`.
 //! * `obs-diff campaign DIR` re-verifies a campaign directory written by
 //!   `repro campaign` from nothing but its files: every listed cell bundle

@@ -70,23 +70,6 @@ where
     if !(level > 0.0 && level < 1.0) {
         return Err(StatsError::InvalidLevel(level));
     }
-    alexa_obs::agg_count("stats.bootstrap.resamples", resamples as u64);
-    Ok(alexa_obs::agg_time("stats.bootstrap_ci", || {
-        bootstrap_ci_uninstrumented(xs, statistic, resamples, level, seed)
-    }))
-}
-
-/// The resampling loop itself; timing/counting happens in [`bootstrap_ci`].
-fn bootstrap_ci_uninstrumented<F>(
-    xs: &[f64],
-    statistic: F,
-    resamples: usize,
-    level: f64,
-    seed: u64,
-) -> BootstrapCi
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
     let estimate = statistic(xs);
     let chunks: Vec<usize> = (0..resamples.div_ceil(CHUNK)).collect();
     let chunked = par_map(None, chunks, |c, _| {
@@ -107,12 +90,12 @@ where
     let alpha = (1.0 - level) / 2.0;
     let lo = crate::descriptive::quantile_sorted(&stats, alpha);
     let hi = crate::descriptive::quantile_sorted(&stats, 1.0 - alpha);
-    BootstrapCi {
+    Ok(BootstrapCi {
         estimate,
         lo,
         hi,
         level,
-    }
+    })
 }
 
 /// Bootstrap CI for the sample median.
