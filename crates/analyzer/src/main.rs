@@ -4,6 +4,7 @@
 //! Exit codes: `0` clean, `1` new findings or baseline drift, `2` usage or
 //! configuration error.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -78,7 +79,7 @@ fn parse_cli() -> Result<Cli, String> {
             "--fix" => cli.fix = true,
             "--no-cache" => cli.no_cache = true,
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print_stdout(format_args!("{USAGE}"));
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -87,20 +88,34 @@ fn parse_cli() -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Print to stdout, flushing at once. `print!` panics when stdout fails (a
+/// full disk, a closed pipe), which would break the exit-code contract; a
+/// failed write here is an I/O failure instead: a message, then exit 1.
+fn print_stdout(args: std::fmt::Arguments) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure: this bin's contract maps failure to 1
+    }
+}
+
 fn take_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
 fn list_lints() {
-    println!("{:<6} {:<22} {:<5} summary", "id", "slug", "sev");
+    print_stdout(format_args!(
+        "{:<6} {:<22} {:<5} summary\n",
+        "id", "slug", "sev"
+    ));
     for s in CATALOG {
-        println!(
-            "{:<6} {:<22} {:<5} {}",
+        print_stdout(format_args!(
+            "{:<6} {:<22} {:<5} {}\n",
             s.id,
             s.slug,
             s.default_severity.label(),
             s.summary
-        );
+        ));
     }
 }
 
@@ -161,7 +176,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        println!("{}", outcome.render_human());
+        print_stdout(format_args!("{}\n", outcome.render_human()));
         if outcome.changed() {
             // Re-analyze against the rewritten tree and config so the
             // report (and the exit code) reflect the post-fix state.
@@ -190,12 +205,12 @@ fn main() -> ExitCode {
             eprintln!("error: cannot write {}: {e}", cfg_path.display());
             return ExitCode::from(2);
         }
-        println!(
-            "wrote {} baseline entries ({} findings) to {}",
+        print_stdout(format_args!(
+            "wrote {} baseline entries ({} findings) to {}\n",
             fresh.len(),
             fresh.iter().map(|b| b.count).sum::<usize>(),
             cfg_path.display()
-        );
+        ));
         return ExitCode::SUCCESS;
     }
 
@@ -239,7 +254,7 @@ fn main() -> ExitCode {
         }
     };
 
-    print!("{rendered}");
+    print_stdout(format_args!("{rendered}"));
     if let Some(path) = &cli.out {
         if let Err(e) = std::fs::write(path, &rendered) {
             eprintln!("error: cannot write {}: {e}", path.display());

@@ -16,10 +16,10 @@
 
 use crate::analysis::bids;
 use crate::analysis::traffic;
-use crate::experiment::{DefenseMode, DefenseRules};
+use crate::experiment::DefenseMode;
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
-use alexa_net::DataType;
+use alexa_net::{DataType, DefenseRules};
 use std::fmt::Write as _;
 
 /// The aggregates a [`DefenseReport`] compares, read from one run.
@@ -168,24 +168,10 @@ mod tests {
     use super::*;
     use crate::observations::Observations;
     use crate::{AuditConfig, AuditRun};
-    use std::sync::OnceLock;
+    use alexa_fault::FaultProfile;
 
     fn baseline() -> &'static AnalysisIndex<'static> {
         crate::analysis::test_support::ix()
-    }
-
-    /// The index of a run really executed with `defense` active.
-    fn executed(defense: DefenseMode) -> &'static AnalysisIndex<'static> {
-        static OBS: [OnceLock<Observations>; 3] = [const { OnceLock::new() }; 3];
-        static IX: [OnceLock<AnalysisIndex<'static>>; 3] = [const { OnceLock::new() }; 3];
-        let i = defense as usize;
-        IX[i].get_or_init(|| {
-            AnalysisIndex::build(
-                OBS[i].get_or_init(|| {
-                    AuditRun::execute(AuditConfig::small(2222).with_defense(defense))
-                }),
-            )
-        })
     }
 
     fn report(name: &str, defense: DefenseMode) -> DefenseReport {
@@ -193,13 +179,46 @@ mod tests {
         compare(name, base, defended)
     }
 
+    /// A small run of `seed` under `fault`, executed with `defense` active.
+    fn run(seed: u64, fault: &FaultProfile, defense: DefenseMode) -> Observations {
+        AuditRun::execute(
+            AuditConfig::small(seed)
+                .with_faults(fault.clone())
+                .with_defense(defense),
+        )
+    }
+
     /// The core equivalence the repro pipeline relies on: the view over the
     /// baseline equals the same aggregates read from a genuinely executed
-    /// defended run, bit for bit.
-    fn assert_view_matches_executed_run(defense: DefenseMode) {
-        let [derived] = views(baseline(), [defense]);
-        let [ran] = views(executed(defense), [DefenseMode::None]);
-        assert_eq!(bits(derived), bits(ran), "{defense:?}");
+    /// defended run of the same seed and fault profile, bit for bit.
+    fn assert_view_matches_executed_run(defense: DefenseMode, fault: &FaultProfile, seed: u64) {
+        let [derived] = views(
+            &AnalysisIndex::build(&run(seed, fault, DefenseMode::None)),
+            [defense],
+        );
+        let [ran] = views(
+            &AnalysisIndex::build(&run(seed, fault, defense)),
+            [DefenseMode::None],
+        );
+        assert_eq!(
+            bits(derived),
+            bits(ran),
+            "{defense:?} under {} at seed {seed}",
+            fault.name()
+        );
+    }
+
+    /// Every fault profile the equivalence is held under, at every seed.
+    fn assert_view_matches_executed_runs(defense: DefenseMode) {
+        for fault in [
+            FaultProfile::none(),
+            FaultProfile::flaky(),
+            FaultProfile::hostile(),
+        ] {
+            for seed in [7, 1234, 2222] {
+                assert_view_matches_executed_run(defense, &fault, seed);
+            }
+        }
     }
 
     /// All six fields, f64s by bit pattern.
@@ -216,17 +235,17 @@ mod tests {
 
     #[test]
     fn firewall_view_matches_executed_run() {
-        assert_view_matches_executed_run(DefenseMode::Firewall);
+        assert_view_matches_executed_runs(DefenseMode::Firewall);
     }
 
     #[test]
     fn text_only_view_matches_executed_run() {
-        assert_view_matches_executed_run(DefenseMode::TextOnly);
+        assert_view_matches_executed_runs(DefenseMode::TextOnly);
     }
 
     #[test]
     fn none_view_matches_executed_run() {
-        assert_view_matches_executed_run(DefenseMode::None);
+        assert_view_matches_executed_run(DefenseMode::None, &FaultProfile::none(), 2222);
     }
 
     /// The small runs send no voice or text records to a blocked host, so

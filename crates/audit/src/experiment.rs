@@ -52,30 +52,14 @@ use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
     RetryBudget, RetryOutcome, RetryPolicy,
 };
-use alexa_net::{
-    AvsTap, Capture, DataType, Domain, Firewall, OrgMap, Packet, Payload, RouterTap, TapStats,
-    Verdict,
-};
+pub use alexa_net::DefenseMode;
+use alexa_net::{AvsTap, Capture, OrgMap, RouterTap, TapStats};
 use alexa_obs::{Histogram, Json, Recorder, ShardLog};
 use alexa_platform::storepage::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
     AlexaCloud, AvsEcho, DeviceError, DsarExport, DsarPhase, EchoDevice, Marketplace, SkillCategory,
 };
 use alexa_policy::PolicyFetcher;
-
-/// User-side defenses from the paper's §8.1, applied during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DefenseMode {
-    /// No defense — the paper's measurement condition.
-    #[default]
-    None,
-    /// Router firewall blocking advertising & tracking endpoints
-    /// ("Blocking without Breaking"-style selective filtering).
-    Firewall,
-    /// On-device transcription: only the text of commands leaves the
-    /// device, never the voice recording.
-    TextOnly,
-}
 
 /// Tunable parameters of an audit run.
 #[derive(Debug, Clone)]
@@ -201,65 +185,6 @@ impl AuditConfig {
         self.worker_timeout_ms = ms;
         self
     }
-}
-
-/// The per-packet rules of one defense. The capture tap applies them
-/// through [`apply_defense`]; the defended view in `analysis::defense`
-/// evaluates the same rules over the baseline's index.
-///
-/// * `Firewall`: drop packets to advertising & tracking endpoints at the
-///   router (they never reach the network, so they never reach a tap).
-/// * `TextOnly`: replace every voice-recording record with the locally
-///   transcribed text command — the content needed for functionality, minus
-///   the acoustic channel (mood, health, accent, …) the paper warns about.
-pub(crate) struct DefenseRules {
-    firewall: Option<Firewall>,
-    text_only: bool,
-}
-
-impl DefenseRules {
-    pub(crate) fn new(defense: DefenseMode) -> DefenseRules {
-        DefenseRules {
-            firewall: (defense == DefenseMode::Firewall).then(Firewall::new),
-            text_only: defense == DefenseMode::TextOnly,
-        }
-    }
-
-    /// Whether a packet sent to `remote` leaves the home network.
-    pub(crate) fn admits(&self, remote: &Domain) -> bool {
-        self.firewall
-            .as_ref()
-            .is_none_or(|fw| fw.judge_remote(remote) == Verdict::Allow)
-    }
-
-    /// The type a plaintext record of type `data_type` is sent as.
-    pub(crate) fn sent_type(&self, data_type: DataType) -> DataType {
-        if self.text_only && data_type == DataType::VoiceRecording {
-            DataType::TextCommand
-        } else {
-            data_type
-        }
-    }
-}
-
-/// Apply the configured defense to a device's outgoing packet batch.
-pub(crate) fn apply_defense(defense: DefenseMode, packets: Vec<Packet>) -> Vec<Packet> {
-    if defense == DefenseMode::None {
-        return packets;
-    }
-    let rules = DefenseRules::new(defense);
-    packets
-        .into_iter()
-        .filter(|p| rules.admits(&p.remote))
-        .map(|mut p| {
-            if let Payload::Plain(records) = &mut p.payload {
-                for r in records.iter_mut() {
-                    r.data_type = rules.sent_type(r.data_type);
-                }
-            }
-            p
-        })
-        .collect()
 }
 
 /// The three personas that run audio-ad sessions (§3.3), in the fixed order
@@ -433,7 +358,7 @@ pub(crate) fn run_persona_shard(
             d.set_fault_plane(plane.clone());
             d
         });
-        let tap = RouterTap::with_faults(plane.clone());
+        let tap = RouterTap::with_faults(plane.clone()).with_defense(config.defense);
         let profile = BrowserProfile::fresh(&persona.name(), all_index as u8 + 1, Some(&account));
         (device, tap, profile)
     });
@@ -459,7 +384,7 @@ pub(crate) fn run_persona_shard(
                     Ok(packets) => {
                         out.installs.observed += 1;
                         l.work(packets.len() as u64);
-                        tap.observe_batch(apply_defense(config.defense, packets));
+                        tap.observe_batch(packets);
                     }
                     Err(_) => out.failed_installs.push(skill.id.0.clone()),
                 }
@@ -527,7 +452,7 @@ pub(crate) fn run_persona_shard(
                         Ok(packets) => {
                             out.interactions.observed += 1;
                             l.work(packets.len() as u64);
-                            tap.observe_batch(apply_defense(config.defense, packets));
+                            tap.observe_batch(packets);
                         }
                         // Injected outage survived retry: the utterance is lost.
                         Err(e) if e.is_transient() => {}
@@ -734,7 +659,7 @@ pub(crate) fn run_avs_shard(
         config.seed ^ 0xa5a5 ^ ((cat_index as u64 + 1) << 32),
     );
     avs.set_fault_plane(plane.clone());
-    let mut tap = AvsTap::with_faults(plane.clone());
+    let mut tap = AvsTap::with_faults(plane.clone()).with_defense(config.defense);
     let rpolicy = RetryPolicy::standard();
     let mut budget = RetryBudget::new(plane.profile().retry_budget());
     let mut ledger = FaultLedger::new();
@@ -757,7 +682,7 @@ pub(crate) fn run_avs_shard(
             if let Ok(install_packets) = attempt.result {
                 skills_cov.observed += 1;
                 l.work(install_packets.len() as u64);
-                tap.observe_batch(apply_defense(config.defense, install_packets));
+                tap.observe_batch(install_packets);
                 for utterance in scraped_script(skill)
                     .iter()
                     .take(config.utterances_per_skill)
@@ -775,12 +700,12 @@ pub(crate) fn run_avs_shard(
                     absorb_outcome(&mut ledger, FaultChannel::InteractionFailure, &attempt);
                     if let Ok(packets) = attempt.result {
                         l.work(1 + packets.len() as u64);
-                        tap.observe_batch(apply_defense(config.defense, packets));
+                        tap.observe_batch(packets);
                     }
                 }
                 let uninstall = avs.uninstall(&mut cloud, skill);
                 l.work(uninstall.len() as u64);
-                tap.observe_batch(apply_defense(config.defense, uninstall));
+                tap.observe_batch(uninstall);
             }
             tap.stop();
         }

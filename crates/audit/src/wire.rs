@@ -17,7 +17,7 @@ use alexa_fault::{FaultChannel, FaultLedger, FaultProfile};
 use alexa_net::{Capture, DataType, Direction, Domain, Packet, Payload, Record};
 use alexa_obs::Json;
 use alexa_platform::{DsarExport, DsarPhase, Interest};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Render an `f64` as its exact bit pattern.
@@ -344,9 +344,21 @@ fn visit_to_json(v: &VisitRecord) -> Json {
     ])
 }
 
-fn visit_from_json(j: &Json) -> Option<VisitRecord> {
-    let arc =
-        |k: &str, o: &Json| -> Option<Arc<str>> { o.get(k).and_then(Json::as_str).map(Arc::from) };
+/// Decode one crawl visit. Bidder, slot and sync labels come from `labels`,
+/// one shared `Arc<str>` per distinct text, as the in-process crawl shares
+/// them; `AnalysisIndex` memoizes labels by allocation address.
+fn visit_from_json(j: &Json, labels: &mut BTreeSet<Arc<str>>) -> Option<VisitRecord> {
+    let mut arc = |k: &str, o: &Json| -> Option<Arc<str>> {
+        let text = o.get(k)?.as_str()?;
+        Some(match labels.get(text) {
+            Some(label) => Arc::clone(label),
+            None => {
+                let label = Arc::from(text);
+                labels.insert(Arc::clone(&label));
+                label
+            }
+        })
+    };
     let mut bids = Vec::new();
     for b in j.get("bids")?.as_arr()? {
         bids.push(Bid {
@@ -487,8 +499,9 @@ pub(crate) fn persona_shard_from_json(j: &Json) -> Option<PersonaShard> {
         ));
     }
     let mut crawl = Vec::new();
+    let mut labels = BTreeSet::new();
     for v in j.get("crawl")?.as_arr()? {
-        crawl.push(visit_from_json(v)?);
+        crawl.push(visit_from_json(v, &mut labels)?);
     }
     let mut audio = Vec::new();
     for a in j.get("audio")?.as_arr()? {
@@ -660,6 +673,39 @@ mod tests {
         assert_eq!(a.bids[0].cpm.to_bits(), b.bids[0].cpm.to_bits());
         // Debug-render equality is what the digest actually hashes.
         assert_eq!(format!("{:?}", a.bids), format!("{:?}", b.bids));
+    }
+
+    /// Equal labels decode to one shared allocation, so the index's
+    /// address memo sees a process-backend shard as it sees an in-process
+    /// one.
+    #[test]
+    fn decoded_labels_share_one_arc_per_text() {
+        let bid = |slot: &str| Bid {
+            bidder: Arc::from("adx.example"),
+            slot_id: Arc::from(slot),
+            cpm: 0.5,
+        };
+        let visit = |bids| VisitRecord {
+            site: "news.example".into(),
+            iteration: 0,
+            bids,
+            creatives: Vec::new(),
+            syncs: Vec::new(),
+        };
+        let shard = PersonaShard {
+            crawl: vec![
+                visit(vec![bid("news.example#1"), bid("news.example#2")]),
+                visit(vec![bid("news.example#1")]),
+            ],
+            ..PersonaShard::default()
+        };
+        let rendered = persona_shard_to_json(&shard).render();
+        let decoded = persona_shard_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        let (first, second) = (&decoded.crawl[0].bids, &decoded.crawl[1].bids);
+        assert!(Arc::ptr_eq(&first[0].bidder, &first[1].bidder));
+        assert!(Arc::ptr_eq(&first[0].bidder, &second[0].bidder));
+        assert!(Arc::ptr_eq(&first[0].slot_id, &second[0].slot_id));
+        assert!(!Arc::ptr_eq(&first[0].slot_id, &first[1].slot_id));
     }
 
     #[test]

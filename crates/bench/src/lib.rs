@@ -29,44 +29,15 @@ pub const ARTIFACTS: &[&str] = &[
     "stats71", "table13", "table13p", "table14", "validate", "liars", "defenses",
 ];
 
-/// Execute the firewall and text-only audits under `fault`.
-///
-/// Only a faulted run needs these: tap faults key off post-defense packet
-/// sequence numbers, so a defended run's faults differ from the baseline's
-/// and the defended record is not a view of it. The defended audits run at
-/// paper scale, as `repro` does.
-fn execute_defended(
-    seed: u64,
-    jobs: Option<usize>,
-    fault: &FaultProfile,
-) -> (Observations, Observations) {
-    eprintln!("running defended audits (firewall, text-only) ...");
-    let run = |defense| {
-        AuditRun::execute(
-            AuditConfig::paper(seed)
-                .with_defense(defense)
-                .with_faults(fault.clone())
-                .with_jobs(jobs),
-        )
-    };
-    (run(DefenseMode::Firewall), run(DefenseMode::TextOnly))
-}
-
 /// Stream the two defense comparisons into `out`; returns render work units.
 ///
-/// Fault-free, both defended sides are [`defense::views`] over the baseline
-/// index. `executed` carries the indices of really executed defended audits
-/// (faulted runs only), read as captured.
-fn render_defenses_into(
-    baseline: &AnalysisIndex,
-    executed: Option<&(AnalysisIndex, AnalysisIndex)>,
-    out: &mut String,
-) -> usize {
+/// Both defended sides are [`defense::views`] over the baseline index. The
+/// taps take a device's packets before the defense, so the view is the
+/// defended record under every fault profile too.
+fn render_defenses_into(baseline: &AnalysisIndex, out: &mut String) -> usize {
     use DefenseMode::{Firewall, TextOnly};
-    let [base, firewalled, text_only] = match executed {
-        Some((fw, to)) => [baseline, fw, to].map(|ix| defense::views(ix, [DefenseMode::None])[0]),
-        None => defense::views(baseline, [DefenseMode::None, Firewall, TextOnly]),
-    };
+    let [base, firewalled, text_only] =
+        defense::views(baseline, [DefenseMode::None, Firewall, TextOnly]);
     let mut work = defense::compare("A&T firewall (blocking without breaking)", base, firewalled)
         .render_into(out);
     out.push('\n');
@@ -79,28 +50,20 @@ fn render_defenses_into(
 /// Each artifact render is its own observability shard.
 ///
 /// The shared [`AnalysisIndex`] is built exactly once (its own `index.build`
-/// stage) and every artifact streams from it; the fan-out is clamped to the
-/// host's hardware threads because oversubscribing a CPU-bound render pass
-/// only adds contention (bytes are jobs-independent either way).
+/// stage) and every artifact, `defenses` included, streams from it; the
+/// fan-out is clamped to the host's hardware threads because
+/// oversubscribing a CPU-bound render pass only adds contention (bytes are
+/// jobs-independent either way). `_seed` and `_fault` are unused; they stay
+/// for the callers of this signature in `perfbench/harness`.
 pub fn render_all(
     obs: &Observations,
     wanted: &[&str],
-    seed: u64,
+    _seed: u64,
     jobs: Option<usize>,
-    fault: &FaultProfile,
+    _fault: &FaultProfile,
     rec: &Recorder,
 ) -> Vec<String> {
     let ix = rec.stage("index.build", || AnalysisIndex::build(obs));
-    // Under an active fault profile the `defenses` artifact compares against
-    // really executed defended audits; executing and indexing them is
-    // analysis input, not rendering, so each gets its own top-level stage.
-    let executed_obs = (fault.is_active() && wanted.contains(&"defenses"))
-        .then(|| rec.stage("derive.defended", || execute_defended(seed, jobs, fault)));
-    let executed_ix = executed_obs.as_ref().map(|(fw, to)| {
-        rec.stage("index.defended", || {
-            (AnalysisIndex::build(fw), AnalysisIndex::build(to))
-        })
-    });
     rec.stage("render.all", || {
         let render_jobs = Some(alexa_exec::clamped_jobs(jobs));
         alexa_exec::par_map(render_jobs, wanted.to_vec(), |i, artifact| {
@@ -111,7 +74,7 @@ pub fn render_all(
             let rendered = log.span("render", |log| {
                 let mut buf = String::with_capacity(4096);
                 let units = if artifact == "defenses" {
-                    render_defenses_into(&ix, executed_ix.as_ref(), &mut buf)
+                    render_defenses_into(&ix, &mut buf)
                 } else {
                     // analyzer:allow(AP02) -- every caller passes names from ARTIFACTS; repro rejects unknowns at parse time (exit 2)
                     artifacts::render_into(&ix, artifact, &mut buf).expect("artifact known")

@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The committed CI smoke plan (2 seeds × {none, flaky} × jobs {1, 4}).
+/// The committed CI smoke plan (2 seeds × {none, flaky} faults ×
+/// {none, firewall, text-only} defenses × jobs {1, 4}).
 const SMOKE_PLAN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/plans/smoke.json");
 
 fn repro() -> Command {
@@ -284,7 +285,7 @@ fn smoke_plan_tables_match_goldens() {
     let out = run_campaign(Path::new(SMOKE_PLAN), &camp);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(
-        stdout(&out).contains("8 cell(s) — 8 executed, 0 skipped"),
+        stdout(&out).contains("24 cell(s) — 24 executed, 0 skipped"),
         "{}",
         stdout(&out)
     );

@@ -124,11 +124,10 @@ fn rendered_profile_matches_golden_with_per_artifact_attribution() {
     );
 }
 
-/// Pins the `defenses` artifact under an active fault profile. Tap faults
-/// key off post-defense sequence numbers, so a faulted run still executes
-/// both defended audits for real; this golden holds that branch's bytes.
-/// Those audits run at paper scale whatever the baseline's scale, so here
-/// the small(7) baseline is compared against paper-scale defended runs.
+/// Pins the `defenses` artifact under an active fault profile. The taps
+/// take a device's packets before the defense, so tap faults land on the
+/// same admitted packets with or without it, and both defended sides are
+/// views over the faulted small(7) baseline.
 #[test]
 fn defenses_small7_flaky_matches_golden() {
     let fault = FaultProfile::flaky();
@@ -143,6 +142,18 @@ fn defenses_small7_flaky_matches_golden() {
             "/tests/golden/defenses_small7_flaky.txt"
         ),
     );
+}
+
+/// A faulted run renders every artifact, `defenses` included, from the one
+/// baseline index: no defended audit is executed or indexed.
+#[test]
+fn faulted_render_all_records_only_index_and_render_stages() {
+    let fault = FaultProfile::flaky();
+    let obs = AuditRun::execute(AuditConfig::small(7).with_faults(fault.clone()));
+    let rec = Recorder::new();
+    render_all(&obs, ARTIFACTS, 7, None, &fault, &rec);
+    let stages: Vec<String> = rec.report().stages.into_iter().map(|s| s.name).collect();
+    assert_eq!(stages, ["index.build", "render.all"]);
 }
 
 /// An artifact shard's allocation window holds only that artifact's own

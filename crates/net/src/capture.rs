@@ -15,6 +15,7 @@
 //! that attribution.
 
 use crate::domain::Domain;
+use crate::firewall::{DefenseMode, DefenseRules};
 use crate::packet::{Direction, Packet, Payload};
 use alexa_fault::{FaultChannel, FaultPlane};
 use std::net::Ipv4Addr;
@@ -96,35 +97,58 @@ impl TapStats {
     }
 }
 
-/// Per-session fault bookkeeping shared by both taps: a monotone packet
-/// sequence number makes the structural key `label/seq`, so fault placement
-/// depends only on what the packet *is* within its session, never on
-/// scheduling.
+/// Per-session admission shared by both taps: the defense, then any
+/// injected capture fault.
+///
+/// The tap takes the device's packets before the defense. Every packet the
+/// device sends takes one value of a monotone session sequence number,
+/// blocked ones included, so the structural fault key `label/seq` names
+/// what the device sent: fault placement depends neither on scheduling nor
+/// on the defense. Only admitted packets draw a fault.
 #[derive(Debug)]
-struct TapFaults {
+struct TapGate {
     plane: FaultPlane,
+    defense: DefenseRules,
     seq: usize,
 }
 
-impl Default for TapFaults {
-    fn default() -> TapFaults {
-        TapFaults {
+impl Default for TapGate {
+    fn default() -> TapGate {
+        TapGate {
             plane: FaultPlane::disabled(),
+            defense: DefenseRules::default(),
             seq: 0,
         }
     }
 }
 
-impl TapFaults {
-    /// Decide the fate of the next packet in the session labelled `label`.
-    /// Advances the sequence number for every offered packet, so drops keep
-    /// downstream keys stable.
-    fn admit(&mut self, label: &str) -> PacketFate {
+impl TapGate {
+    /// With an inactive plane no packet needs its sequence number, so the
+    /// defense applies to a whole batch in place; otherwise the batch is
+    /// left for [`TapGate::admit`] to take packet by packet.
+    fn defend_batch(&self, packets: &mut Vec<Packet>) {
+        if !self.plane.is_active() {
+            packets.retain_mut(|p| {
+                self.defense.retype(&mut p.payload);
+                self.defense.admits(&p.remote)
+            });
+        }
+    }
+
+    /// Decide the fate of the next packet the device sends in the session
+    /// labelled `label`, rewriting an admitted packet as the defense sends
+    /// it.
+    fn admit(&mut self, label: &str, p: &mut Packet) -> PacketFate {
+        let seq = self.seq;
+        self.seq += 1;
+        if !self.defense.admits(&p.remote) {
+            return PacketFate::Blocked;
+        }
+        self.defense.retype(&mut p.payload);
         if !self.plane.is_active() {
             return PacketFate::Keep;
         }
-        let key = format!("{label}/{seq}", seq = self.seq);
-        self.seq += 1;
+        let key = format!("{label}/{seq}");
         if self.plane.fires(FaultChannel::PacketDrop, &key) {
             PacketFate::Drop
         } else if self.plane.fires(FaultChannel::FlowTruncation, &key) {
@@ -137,6 +161,7 @@ impl TapFaults {
 
 enum PacketFate {
     Keep,
+    Blocked,
     Drop,
     Truncate(String),
 }
@@ -147,7 +172,7 @@ pub struct RouterTap {
     session: Option<Capture>,
     finished: Vec<Capture>,
     stats: TapStats,
-    faults: TapFaults,
+    gate: TapGate,
 }
 
 impl RouterTap {
@@ -159,10 +184,16 @@ impl RouterTap {
     /// A tap whose capture path consults `plane` for packet drops and flow
     /// truncation. With an inactive plane this is exactly [`RouterTap::new`].
     pub fn with_faults(plane: FaultPlane) -> RouterTap {
-        RouterTap {
-            faults: TapFaults { plane, seq: 0 },
-            ..RouterTap::default()
-        }
+        let mut tap = RouterTap::default();
+        tap.gate.plane = plane;
+        tap
+    }
+
+    /// The same tap behind a user-side defense: it takes every packet the
+    /// device sends and records only what the defense lets out, as sent.
+    pub fn with_defense(mut self, defense: DefenseMode) -> RouterTap {
+        self.gate.defense = DefenseRules::new(defense);
+        self
     }
 
     /// Begin a capture session (the paper's "enable tcpdump").
@@ -171,7 +202,7 @@ impl RouterTap {
     pub fn start(&mut self, label: impl Into<String>) {
         self.stop();
         self.stats.sessions += 1;
-        self.faults.seq = 0;
+        self.gate.seq = 0;
         self.session = Some(Capture::new(label));
     }
 
@@ -186,41 +217,36 @@ impl RouterTap {
     /// Observe a whole packet batch in one call, taking ownership so the
     /// payloads are encrypted in place instead of cloned packet-by-packet.
     /// No-op unless a session is active.
-    pub fn observe_batch(&mut self, packets: Vec<Packet>) {
-        if self.session.is_some() {
-            if let Some(s) = &mut self.session {
-                s.packets.reserve(packets.len());
-            }
+    pub fn observe_batch(&mut self, mut packets: Vec<Packet>) {
+        if let Some(s) = &mut self.session {
+            self.gate.defend_batch(&mut packets);
+            s.packets.reserve(packets.len());
             for p in packets {
                 self.admit(p);
             }
         }
     }
 
-    /// Encrypt, apply any injected capture fault, and record one packet.
+    /// Apply the defense and any injected capture fault, encrypt, and
+    /// record one packet.
     fn admit(&mut self, mut p: Packet) {
         let Some(session) = &mut self.session else {
             return;
         };
-        p.payload = p.payload.encrypt();
-        if self.faults.plane.is_active() {
-            match self.faults.admit(&session.label) {
-                PacketFate::Drop => {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                PacketFate::Truncate(key) => {
-                    if let Payload::Encrypted { len } = p.payload {
-                        p.payload = Payload::Encrypted {
-                            len: self.faults.plane.truncated_len(&key, len),
-                        };
-                    }
-                    self.stats.truncated += 1;
-                }
-                PacketFate::Keep => {}
+        let len = match self.gate.admit(&session.label, &mut p) {
+            PacketFate::Blocked => return,
+            PacketFate::Drop => {
+                self.stats.dropped += 1;
+                return;
             }
-        }
-        self.stats.observe(p.payload.wire_len());
+            PacketFate::Truncate(key) => {
+                self.stats.truncated += 1;
+                self.gate.plane.truncated_len(&key, p.payload.wire_len())
+            }
+            PacketFate::Keep => p.payload.wire_len(),
+        };
+        p.payload = Payload::Encrypted { len };
+        self.stats.observe(len);
         session.packets.push(p);
     }
 
@@ -274,7 +300,7 @@ pub struct AvsTap {
     session: Option<Capture>,
     finished: Vec<Capture>,
     stats: TapStats,
-    faults: TapFaults,
+    gate: TapGate,
 }
 
 impl AvsTap {
@@ -286,17 +312,23 @@ impl AvsTap {
     /// A tap whose capture path consults `plane` for packet drops and flow
     /// truncation. With an inactive plane this is exactly [`AvsTap::new`].
     pub fn with_faults(plane: FaultPlane) -> AvsTap {
-        AvsTap {
-            faults: TapFaults { plane, seq: 0 },
-            ..AvsTap::default()
-        }
+        let mut tap = AvsTap::default();
+        tap.gate.plane = plane;
+        tap
+    }
+
+    /// The same tap behind a user-side defense: it takes every packet the
+    /// device sends and records only what the defense lets out, as sent.
+    pub fn with_defense(mut self, defense: DefenseMode) -> AvsTap {
+        self.gate.defense = DefenseRules::new(defense);
+        self
     }
 
     /// Begin a capture session.
     pub fn start(&mut self, label: impl Into<String>) {
         self.stop();
         self.stats.sessions += 1;
-        self.faults.seq = 0;
+        self.gate.seq = 0;
         self.session = Some(Capture::new(label));
     }
 
@@ -309,11 +341,12 @@ impl AvsTap {
 
     /// Observe a whole packet batch in one call, taking ownership to avoid
     /// per-packet clones. No-op unless a session is active.
-    pub fn observe_batch(&mut self, packets: Vec<Packet>) {
+    pub fn observe_batch(&mut self, mut packets: Vec<Packet>) {
         let Some(session) = &mut self.session else {
             return;
         };
-        if !self.faults.plane.is_active() {
+        if !self.gate.plane.is_active() {
+            self.gate.defend_batch(&mut packets);
             for p in &packets {
                 self.stats.observe(p.payload.wire_len());
             }
@@ -329,33 +362,32 @@ impl AvsTap {
         }
     }
 
-    /// Apply any injected capture fault and record one packet. The AVS view
-    /// is plaintext, so truncation cuts trailing typed records rather than
-    /// ciphertext bytes.
+    /// Apply the defense and any injected capture fault, and record one
+    /// packet. The AVS view is plaintext, so truncation cuts trailing typed
+    /// records rather than ciphertext bytes.
     fn admit(&mut self, mut p: Packet) {
         let Some(session) = &mut self.session else {
             return;
         };
-        if self.faults.plane.is_active() {
-            match self.faults.admit(&session.label) {
-                PacketFate::Drop => {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                PacketFate::Truncate(key) => {
-                    match &mut p.payload {
-                        Payload::Plain(records) => {
-                            let keep = self.faults.plane.truncated_len(&key, records.len());
-                            records.truncate(keep);
-                        }
-                        Payload::Encrypted { len } => {
-                            *len = self.faults.plane.truncated_len(&key, *len);
-                        }
-                    }
-                    self.stats.truncated += 1;
-                }
-                PacketFate::Keep => {}
+        match self.gate.admit(&session.label, &mut p) {
+            PacketFate::Blocked => return,
+            PacketFate::Drop => {
+                self.stats.dropped += 1;
+                return;
             }
+            PacketFate::Truncate(key) => {
+                match &mut p.payload {
+                    Payload::Plain(records) => {
+                        let keep = self.gate.plane.truncated_len(&key, records.len());
+                        records.truncate(keep);
+                    }
+                    Payload::Encrypted { len } => {
+                        *len = self.gate.plane.truncated_len(&key, *len);
+                    }
+                }
+                self.stats.truncated += 1;
+            }
+            PacketFate::Keep => {}
         }
         self.stats.observe(p.payload.wire_len());
         session.packets.push(p);
@@ -680,6 +712,94 @@ mod tests {
         assert_eq!(
             format!("{:?}", caps[0].packets),
             format!("{:?}", caps[1].packets)
+        );
+    }
+
+    /// The tap takes the device's packets before the defense: a blocked
+    /// packet uses up its sequence number, so every admitted packet meets
+    /// the same fate (kept, dropped, or truncated to the same length)
+    /// behind a firewall as without one.
+    #[test]
+    fn admitted_packets_meet_the_same_fate_behind_a_firewall() {
+        use alexa_fault::FaultProfile;
+        use std::collections::BTreeMap;
+        let hosts = [
+            "avs-alexa-na.amazon.com",
+            "dts.podtrac.com",
+            "dillilabs.com",
+            "device-metrics-us-2.amazon.com",
+            "api.amazon.com",
+        ];
+        let batch: Vec<Packet> = (0..300)
+            .map(|i| {
+                pkt(
+                    i as u64,
+                    hosts[(i * i + i / 7) % hosts.len()],
+                    vec![
+                        Record::new(DataType::VoiceRecording, "hello"),
+                        Record::new(DataType::CustomerId, "A1"),
+                        Record::new(DataType::SkillId, "s"),
+                    ],
+                )
+            })
+            .collect();
+        let rules = DefenseRules::new(DefenseMode::Firewall);
+        let admitted: Vec<u64> = batch
+            .iter()
+            .filter(|p| rules.admits(&p.remote))
+            .map(|p| p.ts_ms)
+            .collect();
+        assert!(
+            admitted.len() < batch.len(),
+            "the batch must hold blocked hosts"
+        );
+        let fates = |caps: &[Capture]| -> BTreeMap<u64, Payload> {
+            caps[0]
+                .packets
+                .iter()
+                .map(|p| (p.ts_ms, p.payload.clone()))
+                .collect()
+        };
+        let plane = || FaultPlane::new(7, FaultProfile::hostile());
+        let admitted_only = |mut all: BTreeMap<u64, Payload>| {
+            all.retain(|ts, _| admitted.contains(ts));
+            all
+        };
+
+        let mut open = RouterTap::with_faults(plane());
+        let mut defended = RouterTap::with_faults(plane()).with_defense(DefenseMode::Firewall);
+        for tap in [&mut open, &mut defended] {
+            tap.start("skill");
+            tap.observe_batch(batch.clone());
+            tap.stop();
+        }
+        let (s, d) = (open.stats(), defended.stats());
+        assert!(
+            d.dropped > 0 && d.truncated > 0,
+            "hostile must fault: {d:?}"
+        );
+        assert_eq!(
+            d.packets + d.dropped,
+            admitted.len(),
+            "blocked packets are not counted"
+        );
+        assert!(s.dropped >= d.dropped && s.truncated >= d.truncated);
+        assert_eq!(
+            admitted_only(fates(open.captures())),
+            fates(defended.captures())
+        );
+
+        let mut open = AvsTap::with_faults(plane());
+        let mut defended = AvsTap::with_faults(plane()).with_defense(DefenseMode::Firewall);
+        for tap in [&mut open, &mut defended] {
+            tap.start("skill");
+            tap.observe_batch(batch.clone());
+            tap.stop();
+        }
+        assert!(defended.stats().truncated > 0);
+        assert_eq!(
+            admitted_only(fates(open.captures())),
+            fates(defended.captures())
         );
     }
 

@@ -1,4 +1,4 @@
-//! The traffic-filtering defense of §8.1.
+//! The user-side defenses of §8.1.
 //!
 //! The paper proposes, as a user-side defense, to "selectively block
 //! network traffic that is not essential for the skill to work", citing the
@@ -11,13 +11,12 @@
 //!   device cannot function without) is always **allowed**;
 //! * everything else is allowed — the defense must not break functionality.
 //!
-//! [`FirewallStats`] records what was dropped so the audit can quantify the
-//! defense: how much A&T traffic disappears, and whether any functional
-//! flow was harmed.
+//! [`DefenseRules`] turn a [`DefenseMode`] (the firewall, or on-device
+//! transcription) into the per-packet rules the capture taps apply.
 
 use crate::domain::Domain;
 use crate::filterlist::FilterList;
-use crate::packet::Packet;
+use crate::packet::{DataType, Packet, Payload};
 
 /// Per-packet decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,47 +27,24 @@ pub enum Verdict {
     Block,
 }
 
-/// Counters describing a firewall's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FirewallStats {
-    /// Packets forwarded.
-    pub allowed: usize,
-    /// Packets dropped.
-    pub blocked: usize,
-}
-
-impl FirewallStats {
-    /// Share of traffic that was blocked.
-    pub fn blocked_share(&self) -> f64 {
-        let total = self.allowed + self.blocked;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocked as f64 / total as f64
-        }
-    }
-}
-
 /// A router-resident advertising & tracking firewall.
 ///
 /// ```
-/// use alexa_net::{Domain, Firewall, Packet, Payload};
+/// use alexa_net::{Domain, Firewall, Packet, Payload, Verdict};
 /// use std::net::Ipv4Addr;
-/// let mut fw = Firewall::new();
+/// let fw = Firewall::new();
 /// let tracker = Packet::outgoing(
 ///     0,
 ///     Domain::parse("dts.podtrac.com").unwrap(),
 ///     Ipv4Addr::new(10, 0, 0, 1),
 ///     Payload::Encrypted { len: 64 },
 /// );
-/// assert!(fw.filter(&tracker).is_none()); // dropped
-/// assert_eq!(fw.stats().blocked, 1);
+/// assert_eq!(fw.judge(&tracker), Verdict::Block);
 /// ```
 #[derive(Debug)]
 pub struct Firewall {
     blocklist: FilterList,
     allowlist: Vec<Domain>,
-    stats: FirewallStats,
 }
 
 impl Default for Firewall {
@@ -80,15 +56,9 @@ impl Default for Firewall {
 impl Firewall {
     /// Firewall with the built-in A&T blocklist and an empty allowlist.
     pub fn new() -> Firewall {
-        Firewall::with_blocklist(FilterList::new())
-    }
-
-    /// Firewall over a custom blocklist.
-    pub fn with_blocklist(blocklist: FilterList) -> Firewall {
         Firewall {
-            blocklist,
+            blocklist: FilterList::new(),
             allowlist: Vec::new(),
-            stats: FirewallStats::default(),
         }
     }
 
@@ -114,114 +84,129 @@ impl Firewall {
             Verdict::Allow
         }
     }
+}
 
-    /// Filter a packet, recording the decision. Returns the packet when
-    /// forwarded.
-    pub fn filter<'a>(&mut self, packet: &'a Packet) -> Option<&'a Packet> {
-        match self.judge(packet) {
-            Verdict::Allow => {
-                self.stats.allowed += 1;
-                Some(packet)
-            }
-            Verdict::Block => {
-                self.stats.blocked += 1;
-                None
-            }
+/// User-side defenses from the paper's §8.1, applied during a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DefenseMode {
+    /// No defense — the paper's measurement condition.
+    #[default]
+    None,
+    /// Router firewall blocking advertising & tracking endpoints
+    /// ("Blocking without Breaking"-style selective filtering).
+    Firewall,
+    /// On-device transcription: only the text of commands leaves the
+    /// device, never the voice recording.
+    TextOnly,
+}
+
+/// The per-packet rules of one [`DefenseMode`]. A capture tap applies them
+/// to each packet the device sends; the audit's defended view evaluates the
+/// same rules over an undefended record.
+///
+/// * `Firewall`: packets to advertising & tracking endpoints are dropped
+///   at the router, so they never reach the network.
+/// * `TextOnly`: every voice-recording record is replaced by the locally
+///   transcribed text command: the content needed for functionality, minus
+///   the acoustic channel (mood, health, accent, ...) the paper warns about.
+#[derive(Debug, Default)]
+pub struct DefenseRules {
+    firewall: Option<Firewall>,
+    text_only: bool,
+}
+
+impl DefenseRules {
+    /// The rules of `defense`.
+    pub fn new(defense: DefenseMode) -> DefenseRules {
+        DefenseRules {
+            firewall: (defense == DefenseMode::Firewall).then(Firewall::new),
+            text_only: defense == DefenseMode::TextOnly,
         }
     }
 
-    /// Filter a whole batch, keeping forwarded packets.
-    pub fn filter_batch(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        packets
-            .into_iter()
-            .filter(|p| match self.judge(p) {
-                Verdict::Allow => {
-                    self.stats.allowed += 1;
-                    true
-                }
-                Verdict::Block => {
-                    self.stats.blocked += 1;
-                    false
-                }
-            })
-            .collect()
+    /// Whether a packet sent to `remote` leaves the home network.
+    pub fn admits(&self, remote: &Domain) -> bool {
+        self.firewall
+            .as_ref()
+            .is_none_or(|fw| fw.judge_remote(remote) == Verdict::Allow)
     }
 
-    /// Activity counters so far.
-    pub fn stats(&self) -> FirewallStats {
-        self.stats
+    /// The type a plaintext record of type `data_type` is sent as.
+    pub fn sent_type(&self, data_type: DataType) -> DataType {
+        if self.text_only && data_type == DataType::VoiceRecording {
+            DataType::TextCommand
+        } else {
+            data_type
+        }
+    }
+
+    /// Rewrite an admitted packet's plaintext records to their sent types.
+    pub fn retype(&self, payload: &mut Payload) {
+        if let (true, Payload::Plain(records)) = (self.text_only, payload) {
+            for r in records {
+                r.data_type = self.sent_type(r.data_type);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Payload;
-    use std::net::Ipv4Addr;
 
-    fn pkt(name: &str) -> Packet {
-        Packet::outgoing(
-            1,
-            Domain::parse(name).unwrap(),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Payload::Encrypted { len: 64 },
-        )
+    fn verdict(fw: &Firewall, name: &str) -> Verdict {
+        fw.judge_remote(&Domain::parse(name).unwrap())
     }
 
     #[test]
     fn blocks_ad_tracking_endpoints() {
-        let mut fw = Firewall::new();
-        assert!(fw.filter(&pkt("dts.podtrac.com")).is_none());
-        assert!(fw.filter(&pkt("dcs.megaphone.fm")).is_none());
-        assert_eq!(fw.stats().blocked, 2);
+        let fw = Firewall::new();
+        assert_eq!(verdict(&fw, "dts.podtrac.com"), Verdict::Block);
+        assert_eq!(verdict(&fw, "dcs.megaphone.fm"), Verdict::Block);
     }
 
     #[test]
     fn allows_functional_traffic() {
-        let mut fw = Firewall::new();
-        assert!(fw.filter(&pkt("avs-alexa-na.amazon.com")).is_some());
-        assert!(fw.filter(&pkt("dillilabs.com")).is_some());
-        assert_eq!(fw.stats().allowed, 2);
-        assert_eq!(fw.stats().blocked, 0);
+        let fw = Firewall::new();
+        assert_eq!(verdict(&fw, "avs-alexa-na.amazon.com"), Verdict::Allow);
+        assert_eq!(verdict(&fw, "dillilabs.com"), Verdict::Allow);
     }
 
     #[test]
     fn blocks_device_metrics_exact_host() {
-        let mut fw = Firewall::new();
-        assert!(fw.filter(&pkt("device-metrics-us-2.amazon.com")).is_none());
-        assert!(fw.filter(&pkt("api.amazon.com")).is_some());
+        let fw = Firewall::new();
+        assert_eq!(
+            verdict(&fw, "device-metrics-us-2.amazon.com"),
+            Verdict::Block
+        );
+        assert_eq!(verdict(&fw, "api.amazon.com"), Verdict::Allow);
     }
 
     #[test]
     fn allowlist_overrides_blocklist() {
         let mut fw = Firewall::new();
         fw.allow(Domain::parse("podtrac.com").unwrap());
-        assert!(fw.filter(&pkt("dts.podtrac.com")).is_some());
-        assert!(fw.filter(&pkt("chtbl.com")).is_none());
+        assert_eq!(verdict(&fw, "dts.podtrac.com"), Verdict::Allow);
+        assert_eq!(verdict(&fw, "chtbl.com"), Verdict::Block);
     }
 
     #[test]
-    fn batch_filter_partitions() {
-        let mut fw = Firewall::new();
-        let batch = vec![
-            pkt("api.amazon.com"),
-            pkt("chtbl.com"),
-            pkt("dillilabs.com"),
-        ];
-        let kept = fw.filter_batch(batch);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(
-            fw.stats(),
-            FirewallStats {
-                allowed: 2,
-                blocked: 1
-            }
-        );
-        assert!((fw.stats().blocked_share() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_share_is_zero() {
-        assert_eq!(FirewallStats::default().blocked_share(), 0.0);
+    fn defense_rules_block_and_retype() {
+        use crate::packet::Record;
+        let tracker = Domain::parse("dts.podtrac.com").unwrap();
+        let avs = Domain::parse("avs-alexa-na.amazon.com").unwrap();
+        for (defense, blocks, retypes) in [
+            (DefenseMode::None, false, false),
+            (DefenseMode::Firewall, true, false),
+            (DefenseMode::TextOnly, false, true),
+        ] {
+            let rules = DefenseRules::new(defense);
+            assert_eq!(rules.admits(&tracker), !blocks);
+            assert!(rules.admits(&avs));
+            let mut payload = Payload::Plain(vec![Record::new(DataType::VoiceRecording, "hi")]);
+            rules.retype(&mut payload);
+            let sent = payload.records().unwrap()[0].data_type;
+            assert_eq!(sent == DataType::TextCommand, retypes);
+        }
     }
 }

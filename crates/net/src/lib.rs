@@ -34,7 +34,7 @@ pub use capture::{AvsTap, Capture, FlowRecord, RouterTap, TapStats};
 pub use dns::DnsTable;
 pub use domain::Domain;
 pub use filterlist::{FilterList, TrafficPurpose};
-pub use firewall::{Firewall, FirewallStats, Verdict};
+pub use firewall::{DefenseMode, DefenseRules, Firewall, Verdict};
 pub use flowstats::{aggregate as aggregate_flows, FlowStats};
 pub use orgmap::{OrgClass, OrgMap};
 pub use packet::{DataType, Direction, Packet, Payload, Record};

@@ -45,7 +45,7 @@ pub const TABLES_DIR: &str = "tables";
 /// on the bench side keeps the two in sync).
 pub const FAULT_PRESETS: &[&str] = &["none", "flaky", "degraded", "hostile"];
 
-/// The defense modes a plan may name (mirrors `alexa-audit`'s
+/// The defense modes a plan may name (mirrors `alexa-net`'s
 /// `DefenseMode`; same layering note as [`FAULT_PRESETS`]).
 pub const DEFENSE_MODES: &[&str] = &["none", "firewall", "text-only"];
 

@@ -38,7 +38,6 @@ pub const REGISTRY: &[&str] = &[
     "crawl.pre",               // span: web crawl before interactions
     "crawl.syncs",             // counter: cookie syncs captured across crawl visits
     "crawl.visits",            // counter + coverage section: crawl page visits
-    "derive.defended",         // stage: defended audits (faulted runs only)
     "dsar.after_install",      // span: DSAR export after installs
     "dsar.after_interaction1", // span: DSAR export after first interaction round
     "dsar.after_interaction2", // span: DSAR export after second interaction round
@@ -47,7 +46,6 @@ pub const REGISTRY: &[&str] = &[
     "fault.losses",            // counter: permanent losses after retry budget
     "fault.retries",           // counter: retries consumed by faults
     "index.build",             // stage: shared analysis-index construction
-    "index.defended",          // stage: defended-audit index builds (faulted runs only)
     "install",                 // span: skill installation round
     "install.failed",          // counter: installs that failed permanently
     "interact",                // span: skill interaction round

@@ -18,7 +18,19 @@
 //! * `2` — usage error, unreadable or malformed input.
 
 use alexa_obsdiff::{check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions};
+use std::io::Write;
 use std::path::Path;
+
+/// Print to stdout, flushing at once. `print!` panics when stdout fails (a
+/// full disk, a closed pipe), which would break the exit-code contract; a
+/// failed write here is an I/O failure instead: a message, then exit 1.
+fn print_stdout(args: std::fmt::Arguments) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure: this bin's contract maps failure to 1
+    }
+}
 
 fn usage(code: i32) -> ! {
     eprintln!(
@@ -113,8 +125,8 @@ fn cmd_diff(args: &[String]) -> ! {
     let (bundle_a, bundle_b) = (load(a), load(b));
     let report = diff_bundles(&bundle_a, &bundle_b, &opts);
     match format {
-        Format::Human => print!("{}", report.render_human()),
-        Format::Json => println!("{}", report.to_json().render()),
+        Format::Human => print_stdout(format_args!("{}", report.render_human())),
+        Format::Json => print_stdout(format_args!("{}\n", report.to_json().render())),
     }
     std::process::exit(if report.clean() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
 }
@@ -158,8 +170,8 @@ fn cmd_gate(args: &[String]) -> ! {
     ) {
         Ok(report) => {
             match format {
-                Format::Human => print!("{}", report.render_human()),
-                Format::Json => println!("{}", report.to_json().render()),
+                Format::Human => print_stdout(format_args!("{}", report.render_human())),
+                Format::Json => print_stdout(format_args!("{}\n", report.to_json().render())),
             }
             std::process::exit(if report.passed() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
         }
@@ -191,8 +203,8 @@ fn cmd_campaign(args: &[String]) -> ! {
     match check_campaign(Path::new(dir)) {
         Ok(check) => {
             match format {
-                Format::Human => print!("{}", check.render_human()),
-                Format::Json => println!("{}", check.to_json().render()),
+                Format::Human => print_stdout(format_args!("{}", check.render_human())),
+                Format::Json => print_stdout(format_args!("{}\n", check.to_json().render())),
             }
             std::process::exit(if check.clean() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
         }
