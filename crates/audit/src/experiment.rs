@@ -39,6 +39,7 @@
 
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
+use crate::wire::{self, ByteReader, ByteWriter};
 use alexa_adtech::bidding::{standard_roster, SeasonModel, UserState};
 use alexa_adtech::{
     Auction, BrowserProfile, Crawler, StreamingService, SyncGraph, Transcriber, WebEcosystem,
@@ -746,30 +747,22 @@ fn record_backend_stats(rec: &Recorder, stats: &BackendStats) {
     rec.volatile("worker.timeouts", stats.timeouts);
     rec.volatile("worker.crashes", stats.crashes);
     rec.volatile("worker.malformed", stats.malformed);
+    rec.volatile("worker.reply_bytes", stats.reply_bytes);
 }
 
-/// Decode one `process`-backend worker reply: the wire-encoded shard plus
+/// Decode one `process`-backend worker reply: the byte-encoded shard plus
 /// the worker-side [`ShardLog`], which is submitted to the parent recorder
-/// so the merged report looks the same as an in-process run.
+/// with its allocation window re-installed, so the merged report and
+/// memory ledger match an in-process run byte for byte.
 fn decode_worker_reply<T>(
     rec: &Recorder,
-    payload: &str,
-    decode: &impl Fn(&Json) -> Option<T>,
+    body: &[u8],
+    decode: &impl Fn(&mut ByteReader<'_>) -> Option<T>,
 ) -> Option<T> {
-    let doc = Json::parse(payload).ok()?;
-    let shard = decode(doc.get("shard")?)?;
-    if let Some(mut log) = doc.get("log").and_then(ShardLog::from_wire_json) {
-        // The shard-level allocation window travels beside the log (span
-        // deltas travel inside it); re-install it so the merged report and
-        // memory ledger match an in-process run byte for byte.
-        if let Some(alloc) = doc
-            .get("alloc")
-            .and_then(crate::wire::shard_alloc_from_json)
-        {
-            log.set_alloc(alloc.count, alloc.bytes, alloc.peak_bytes, alloc.sizes);
-        }
-        rec.submit(log);
-    }
+    let (shard, alloc, log) = wire::decode_worker_reply(body, decode)?;
+    let mut log = ShardLog::from_wire_json(&Json::parse(log).ok()?)?;
+    log.set_alloc(alloc.count, alloc.bytes, alloc.peak_bytes, alloc.sizes);
+    rec.submit(log);
     Some(shard)
 }
 
@@ -780,11 +773,13 @@ fn decode_worker_reply<T>(
 ///   their typed results over directly; nothing crosses a wire, so the
 ///   pre-backend pipeline is reproduced byte for byte.
 /// * `process` — each shard is dispatched to a `worker_cmd` child process
-///   as a wire-encoded [`ShardSpec`]; replies carry the encoded shard plus
-///   its worker-side [`ShardLog`]. Crashed, hung or garbled workers degrade
-///   the shard.
+///   as a [`ShardSpec`] frame; replies carry the byte-encoded shard plus
+///   its worker-side [`ShardLog`], which is submitted to `rec` so the merged
+///   report looks the same as an in-process run. Crashed, hung or garbled
+///   workers degrade the shard.
 /// * `mock-remote` — shards execute in-process behind a submit/poll/result
-///   transport whose transient faults come from the run's fault profile.
+///   transport whose transient faults come from the run's fault profile;
+///   results cross it through the same byte codec.
 ///
 /// Whatever the backend, results are committed in structural-index order by
 /// the ordered committer, and a lost shard becomes `lost(index)` — a
@@ -797,15 +792,15 @@ fn fan_out<T: Send>(
     group: &str,
     labels: &[String],
     run_local: &(impl Fn(usize, &mut ShardLog) -> T + Sync),
-    encode: &(impl Fn(&T) -> Json + Sync),
-    decode: &impl Fn(&Json) -> Option<T>,
+    encode: &(impl Fn(&mut ByteWriter, &T) + Sync),
+    decode: &impl Fn(&mut ByteReader<'_>) -> Option<T>,
     lost: &impl Fn(usize) -> T,
 ) -> Vec<T> {
     let n = labels.len();
     // Every spec carries the same rendered config document: workers key
-    // their memoized world on the payload string, so one worker serving many
+    // their memoized world on the payload bytes, so one worker serving many
     // shards rebuilds the marketplace and web ecosystem exactly once.
-    let payload = crate::wire::config_to_json(config).render();
+    let payload = wire::config_to_json(config).render().into_bytes();
     let specs: Vec<ShardSpec> = labels
         .iter()
         .enumerate()
@@ -822,14 +817,14 @@ fn fan_out<T: Send>(
             // its typed output in a slot keyed by structural index.
             let slots: Vec<std::sync::Mutex<Option<T>>> =
                 (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-            let exec = |spec: &ShardSpec| -> Result<String, String> {
+            let exec = |spec: &ShardSpec| -> Result<Vec<u8>, String> {
                 let mut log = rec.shard(group, spec.index, &spec.label);
                 let shard = run_local(spec.index, &mut log);
                 rec.submit(log);
                 if let Some(slot) = slots.get(spec.index) {
                     *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(shard);
                 }
-                Ok(String::new())
+                Ok(Vec::new())
             };
             match ThreadBackend.run(config.jobs, specs, &exec) {
                 Ok(run) => {
@@ -849,11 +844,11 @@ fn fan_out<T: Send>(
         }
         BackendChoice::MockRemote => {
             let backend = MockRemoteBackend::new(config.seed ^ 0xfa417, config.fault.clone());
-            let exec = |spec: &ShardSpec| -> Result<String, String> {
+            let exec = |spec: &ShardSpec| -> Result<Vec<u8>, String> {
                 let mut log = rec.shard(group, spec.index, &spec.label);
                 let shard = run_local(spec.index, &mut log);
                 rec.submit(log);
-                Ok(encode(&shard).render())
+                Ok(wire::to_bytes(|w| encode(w, &shard)))
             };
             match backend.run(config.jobs, specs, &exec) {
                 Ok(run) => {
@@ -862,11 +857,9 @@ fn fan_out<T: Send>(
                         .into_iter()
                         .enumerate()
                         .map(|(i, outcome)| match outcome {
-                            ShardOutcome::Done(res) => Json::parse(&res.payload)
-                                .ok()
-                                .as_ref()
-                                .and_then(decode)
-                                .unwrap_or_else(|| lost(i)),
+                            ShardOutcome::Done(res) => {
+                                wire::from_bytes(&res.payload, decode).unwrap_or_else(|| lost(i))
+                            }
                             ShardOutcome::Lost { .. } => lost(i),
                         })
                         .collect()
@@ -882,7 +875,7 @@ fn fan_out<T: Send>(
             };
             // Children do the work; the in-process exec fn only runs if a
             // spec could not be dispatched at all.
-            let exec = |_: &ShardSpec| -> Result<String, String> {
+            let exec = |_: &ShardSpec| -> Result<Vec<u8>, String> {
                 Err("process backend executes shards in child workers".to_string())
             };
             match backend.run(config.jobs, specs, &exec) {
@@ -971,8 +964,8 @@ impl AuditRun {
                 "avs",
                 &labels,
                 &|ci, log| run_avs_shard(config, &market, &plane, ci, SkillCategory::ALL[ci], log),
-                &crate::wire::avs_shard_to_json,
-                &crate::wire::avs_shard_from_json,
+                &wire::write_avs_shard,
+                &wire::read_avs_shard,
                 &|_| AvsShard::lost(config),
             )
         });
@@ -1016,8 +1009,8 @@ impl AuditRun {
                         log,
                     )
                 },
-                &crate::wire::persona_shard_to_json,
-                &crate::wire::persona_shard_from_json,
+                &wire::write_persona_shard,
+                &wire::read_persona_shard,
                 &|i| PersonaShard::lost(config, personas[i]),
             )
         });

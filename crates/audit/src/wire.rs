@@ -1,47 +1,37 @@
-//! JSON wire codecs for the shard fan-out (DESIGN.md §15).
+//! Wire codecs for the shard fan-out (DESIGN.md §15).
 //!
 //! When shards execute outside the parent process (`--backend process`) or
-//! through the mock remote, their inputs and outputs cross a wire as the
-//! run-bundle JSON dialect (`alexa_obs::Json`, the PR 5 schema). The codecs
-//! here are **bit-exact**: every `f64` travels as its IEEE-754 bit pattern
-//! in hex (the JSON `Float` render is lossy by design), so a decoded shard
-//! is indistinguishable from one produced in-process — the foundation of
-//! the cross-backend byte-identical-bundle guarantee.
+//! through the mock remote, their outputs cross a wire as bytes, written by
+//! one byte codec: unsigned integers as LEB128 varints, `f64` as its eight
+//! little-endian IEEE-754 bytes, enums as their index in a fixed variant
+//! list, strings and sequences behind a varint length. Bidder, slot and
+//! sync labels are interned per shard: the first occurrence carries the
+//! text, later ones carry its index, and the decoder hands out one shared
+//! `Arc<str>` per text, as the in-process crawl does. The codec is
+//! **bit-exact**, so a decoded shard is indistinguishable from one produced
+//! in-process — the foundation of the cross-backend byte-identical-bundle
+//! guarantee.
+//!
+//! The decoders return `None` on any malformed input and never panic: every
+//! length prefix is checked against the remaining input before anything is
+//! allocated, and every `Domain` is re-validated through [`Domain::parse`].
+//!
+//! Only the audit configuration a spec carries (a few hundred bytes) stays
+//! JSON: it reuses [`FaultProfile`]'s wire form, and workers key their
+//! memoized world on its text.
 //!
 //! Everything is `pub(crate)`: the only consumers are the fan-out in
 //! [`crate::experiment`] and the worker loop in [`crate::worker`].
 
 use crate::experiment::{AuditConfig, AvsShard, DefenseMode, PersonaShard, ShardAlloc};
 use alexa_adtech::{Bid, Creative, StreamingService, SyncObservation, VisitRecord};
-use alexa_fault::{FaultChannel, FaultLedger, FaultProfile};
+use alexa_fault::{Coverage, FaultChannel, FaultLedger, FaultProfile};
 use alexa_net::{Capture, DataType, Direction, Domain, Packet, Payload, Record};
-use alexa_obs::Json;
+use alexa_obs::{Histogram, Json, ShardLog};
 use alexa_platform::{DsarExport, DsarPhase, Interest};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
-
-/// Render an `f64` as its exact bit pattern.
-fn f64_hex(v: f64) -> Json {
-    Json::Str(format!("{:016x}", v.to_bits()))
-}
-
-/// Decode an exact-bit `f64`.
-fn f64_from_hex(j: &Json) -> Option<f64> {
-    let s = j.as_str()?;
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
 
 // ---- Audit configuration ------------------------------------------------
 
@@ -64,39 +54,43 @@ fn defense_from_token(s: &str) -> Option<DefenseMode> {
 
 /// Serialize everything a worker needs to rebuild the run's world. The
 /// engine knobs (`jobs`, backend selection) deliberately stay behind: a
-/// worker always executes its shard sequentially in-process.
+/// worker always executes its shard sequentially in-process. `audio_hours`
+/// travels as its bit pattern in hex, as fault rates do.
 pub(crate) fn config_to_json(c: &AuditConfig) -> Json {
-    obj(vec![
-        ("seed", Json::Int(c.seed)),
+    let int = |v: usize| Json::Int(v as u64);
+    Json::Obj(vec![
+        ("seed".into(), Json::Int(c.seed)),
+        ("skills_per_category".into(), int(c.skills_per_category)),
+        ("crawl_sites".into(), int(c.crawl_sites)),
+        ("web_size".into(), int(c.web_size)),
+        ("pre_iterations".into(), int(c.pre_iterations)),
+        ("post_iterations".into(), int(c.post_iterations)),
         (
-            "skills_per_category",
-            Json::Int(c.skills_per_category as u64),
+            "audio_hours".into(),
+            Json::Str(format!("{:016x}", c.audio_hours.to_bits())),
         ),
-        ("crawl_sites", Json::Int(c.crawl_sites as u64)),
-        ("web_size", Json::Int(c.web_size as u64)),
-        ("pre_iterations", Json::Int(c.pre_iterations as u64)),
-        ("post_iterations", Json::Int(c.post_iterations as u64)),
-        ("audio_hours", f64_hex(c.audio_hours)),
-        (
-            "utterances_per_skill",
-            Json::Int(c.utterances_per_skill as u64),
-        ),
-        ("defense", Json::Str(defense_token(c.defense).to_string())),
-        ("fault", c.fault.to_wire_json()),
+        ("utterances_per_skill".into(), int(c.utterances_per_skill)),
+        ("defense".into(), Json::Str(defense_token(c.defense).into())),
+        ("fault".into(), c.fault.to_wire_json()),
     ])
 }
 
 pub(crate) fn config_from_json(j: &Json) -> Option<AuditConfig> {
     let int = |k: &str| j.get(k).and_then(Json::as_u64);
+    let size = |k: &str| int(k).and_then(|v| usize::try_from(v).ok());
+    let hours = j.get("audio_hours")?.as_str()?;
+    if hours.len() != 16 {
+        return None;
+    }
     Some(AuditConfig {
         seed: int("seed")?,
-        skills_per_category: int("skills_per_category")? as usize,
-        crawl_sites: int("crawl_sites")? as usize,
-        web_size: int("web_size")? as usize,
-        pre_iterations: int("pre_iterations")? as usize,
-        post_iterations: int("post_iterations")? as usize,
-        audio_hours: f64_from_hex(j.get("audio_hours")?)?,
-        utterances_per_skill: int("utterances_per_skill")? as usize,
+        skills_per_category: size("skills_per_category")?,
+        crawl_sites: size("crawl_sites")?,
+        web_size: size("web_size")?,
+        pre_iterations: size("pre_iterations")?,
+        post_iterations: size("post_iterations")?,
+        audio_hours: f64::from_bits(u64::from_str_radix(hours, 16).ok()?),
+        utterances_per_skill: size("utterances_per_skill")?,
         defense: defense_from_token(j.get("defense")?.as_str()?)?,
         fault: FaultProfile::from_wire_json(j.get("fault")?)?,
         jobs: Some(1),
@@ -106,138 +100,266 @@ pub(crate) fn config_from_json(j: &Json) -> Option<AuditConfig> {
     })
 }
 
-// ---- Network captures ----------------------------------------------------
+// ---- Byte primitives ------------------------------------------------------
 
-fn data_type_token(t: DataType) -> &'static str {
-    match t {
-        DataType::VoiceRecording => "voice_recording",
-        DataType::TextCommand => "text_command",
-        DataType::CustomerId => "customer_id",
-        DataType::SkillId => "skill_id",
-        DataType::Language => "language",
-        DataType::Timezone => "timezone",
-        DataType::Preference => "preference",
-        DataType::AudioPlayerEvent => "audio_player_event",
-        DataType::DeviceMetric => "device_metric",
+/// Appends values to one byte buffer; see the module docs for the format.
+pub(crate) struct ByteWriter {
+    buf: Vec<u8>,
+    /// Interned labels of this buffer, by first-occurrence index.
+    labels: BTreeMap<Arc<str>, u64>,
+}
+
+impl ByteWriter {
+    fn u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
-}
 
-fn data_type_from_token(s: &str) -> Option<DataType> {
-    DataType::ALL.into_iter().find(|t| data_type_token(*t) == s)
-}
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
 
-fn payload_to_json(p: &Payload) -> Json {
-    match p {
-        Payload::Encrypted { len } => obj(vec![("enc", Json::Int(*len as u64))]),
-        Payload::Plain(records) => {
-            let recs = records
-                .iter()
-                .map(|r| {
-                    obj(vec![
-                        ("t", Json::Str(data_type_token(r.data_type).to_string())),
-                        ("v", Json::Str(r.value.clone())),
-                    ])
-                })
-                .collect();
-            obj(vec![("plain", Json::Arr(recs))])
+    fn usize(&mut self, v: usize) {
+        self.varint(v as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// `0` then the text on a label's first occurrence, `index + 1` after.
+    fn label(&mut self, s: &Arc<str>) {
+        if let Some(&i) = self.labels.get(&**s) {
+            self.varint(i + 1);
+            return;
+        }
+        let i = self.labels.len() as u64;
+        self.labels.insert(Arc::clone(s), i);
+        self.varint(0);
+        self.str(s);
+    }
+
+    /// A variant as its position in `all`, which lists every variant. A
+    /// value missing from `all` writes an index no decoder accepts.
+    fn variant<T: PartialEq>(&mut self, all: &[T], v: &T) {
+        let i = all.iter().position(|x| x == v).unwrap_or(all.len());
+        self.usize(i);
+    }
+
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for x in items {
+            item(self, x);
         }
     }
 }
 
-fn payload_from_json(j: &Json) -> Option<Payload> {
-    if let Some(len) = j.get("enc").and_then(Json::as_u64) {
-        return Some(Payload::Encrypted { len: len as usize });
-    }
-    let mut records = Vec::new();
-    for r in j.get("plain")?.as_arr()? {
-        records.push(Record {
-            data_type: data_type_from_token(r.get("t")?.as_str()?)?,
-            value: r.get("v")?.as_str()?.to_string(),
-        });
-    }
-    Some(Payload::Plain(records))
+/// Reads what [`ByteWriter`] wrote. Every read returns `None` when the
+/// input is short or invalid; nothing here panics.
+pub(crate) struct ByteReader<'a> {
+    buf: &'a [u8],
+    /// Labels decoded so far, by first-occurrence index.
+    labels: Vec<Arc<str>>,
 }
 
-fn packet_to_json(p: &Packet) -> Json {
-    let dir = match p.direction {
-        Direction::Outgoing => "out",
-        Direction::Incoming => "in",
+impl<'a> ByteReader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.buf.len() {
+            return None;
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        let (&b, rest) = self.buf.split_first()?;
+        self.buf = rest;
+        Some(b)
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            let bits = u64::from(b & 0x7f);
+            if shift == 63 && bits > 1 {
+                return None;
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.varint()?).ok()
+    }
+
+    /// A sequence length. Every encoded element takes at least one byte,
+    /// so a count above the remaining input is malformed; this bounds
+    /// every `with_capacity` by the input size.
+    fn count(&mut self) -> Option<usize> {
+        self.usize().filter(|&n| n <= self.buf.len())
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        let bytes: [u8; 8] = self.take(8)?.try_into().ok()?;
+        Some(f64::from_bits(u64::from_le_bytes(bytes)))
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let n = self.usize()?;
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.str().map(str::to_string)
+    }
+
+    fn label(&mut self) -> Option<Arc<str>> {
+        match self.varint()? {
+            0 => {
+                let label: Arc<str> = Arc::from(self.str()?);
+                self.labels.push(Arc::clone(&label));
+                Some(label)
+            }
+            i => self.labels.get(usize::try_from(i - 1).ok()?).cloned(),
+        }
+    }
+
+    fn variant<T: Copy>(&mut self, all: &[T]) -> Option<T> {
+        all.get(self.usize()?).copied()
+    }
+
+    fn seq<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.count()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
+}
+
+/// Encode one value with a fresh label table.
+pub(crate) fn to_bytes(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter {
+        buf: Vec::new(),
+        labels: BTreeMap::new(),
     };
-    obj(vec![
-        ("ts_ms", Json::Int(p.ts_ms)),
-        ("dir", Json::Str(dir.to_string())),
-        ("remote", Json::Str(p.remote.as_str().to_string())),
-        ("ip", Json::Str(p.remote_ip.to_string())),
-        ("payload", payload_to_json(&p.payload)),
-    ])
+    write(&mut w);
+    w.buf
 }
 
-fn packet_from_json(j: &Json) -> Option<Packet> {
-    let direction = match j.get("dir")?.as_str()? {
-        "out" => Direction::Outgoing,
-        "in" => Direction::Incoming,
-        _ => return None,
+/// Decode one value that must span all of `bytes`.
+pub(crate) fn from_bytes<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut ByteReader<'a>) -> Option<T>,
+) -> Option<T> {
+    let mut r = ByteReader {
+        buf: bytes,
+        labels: Vec::new(),
     };
-    Some(Packet {
-        ts_ms: j.get("ts_ms")?.as_u64()?,
-        direction,
-        remote: Domain::parse(j.get("remote")?.as_str()?).ok()?,
-        remote_ip: j.get("ip")?.as_str()?.parse().ok()?,
-        payload: payload_from_json(j.get("payload")?)?,
-    })
+    let value = read(&mut r)?;
+    r.buf.is_empty().then_some(value)
 }
 
-fn capture_to_json(c: &Capture) -> Json {
-    obj(vec![
-        ("label", Json::Str(c.label.clone())),
-        (
-            "packets",
-            Json::Arr(c.packets.iter().map(packet_to_json).collect()),
-        ),
-    ])
-}
+// ---- Network captures ----------------------------------------------------
 
-fn capture_from_json(j: &Json) -> Option<Capture> {
-    let mut packets = Vec::new();
-    for p in j.get("packets")?.as_arr()? {
-        packets.push(packet_from_json(p)?);
-    }
-    Some(Capture {
-        label: j.get("label")?.as_str()?.to_string(),
-        packets,
-    })
-}
+const DIRECTIONS: [Direction; 2] = [Direction::Outgoing, Direction::Incoming];
 
-fn captures_to_json(cs: &[Capture]) -> Json {
-    Json::Arr(cs.iter().map(capture_to_json).collect())
-}
-
-fn captures_from_json(j: &Json) -> Option<Vec<Capture>> {
-    let mut out = Vec::new();
-    for c in j.as_arr()? {
-        out.push(capture_from_json(c)?);
-    }
-    Some(out)
-}
-
-// ---- DSAR exports ---------------------------------------------------------
-
-fn phase_token(p: DsarPhase) -> &'static str {
+fn write_payload(w: &mut ByteWriter, p: &Payload) {
     match p {
-        DsarPhase::AfterInstall => "after_install",
-        DsarPhase::AfterInteraction1 => "after_interaction1",
-        DsarPhase::AfterInteraction2 => "after_interaction2",
+        Payload::Encrypted { len } => {
+            w.u8(0);
+            w.usize(*len);
+        }
+        Payload::Plain(records) => {
+            w.u8(1);
+            w.seq(records, |w, r| {
+                w.variant(&DataType::ALL, &r.data_type);
+                w.str(&r.value);
+            });
+        }
     }
 }
 
-fn phase_from_token(s: &str) -> Option<DsarPhase> {
-    match s {
-        "after_install" => Some(DsarPhase::AfterInstall),
-        "after_interaction1" => Some(DsarPhase::AfterInteraction1),
-        "after_interaction2" => Some(DsarPhase::AfterInteraction2),
+fn read_payload(r: &mut ByteReader<'_>) -> Option<Payload> {
+    match r.u8()? {
+        0 => Some(Payload::Encrypted { len: r.usize()? }),
+        1 => Some(Payload::Plain(r.seq(|r| {
+            Some(Record {
+                data_type: r.variant(&DataType::ALL)?,
+                value: r.string()?,
+            })
+        })?)),
         _ => None,
     }
 }
+
+fn write_captures(w: &mut ByteWriter, cs: &[Capture]) {
+    w.seq(cs, |w, c| {
+        w.str(&c.label);
+        w.seq(&c.packets, |w, p| {
+            w.varint(p.ts_ms);
+            w.variant(&DIRECTIONS, &p.direction);
+            w.str(p.remote.as_str());
+            w.buf.extend_from_slice(&p.remote_ip.octets());
+            write_payload(w, &p.payload);
+        });
+    });
+}
+
+fn read_captures(r: &mut ByteReader<'_>) -> Option<Vec<Capture>> {
+    r.seq(|r| {
+        Some(Capture {
+            label: r.string()?,
+            packets: r.seq(|r| {
+                Some(Packet {
+                    ts_ms: r.varint()?,
+                    direction: r.variant(&DIRECTIONS)?,
+                    remote: Domain::parse(r.str()?).ok()?,
+                    remote_ip: {
+                        let octets: [u8; 4] = r.take(4)?.try_into().ok()?;
+                        Ipv4Addr::from(octets)
+                    },
+                    payload: read_payload(r)?,
+                })
+            })?,
+        })
+    })
+}
+
+// ---- DSAR exports and audio ------------------------------------------------
+
+const PHASES: [DsarPhase; 3] = [
+    DsarPhase::AfterInstall,
+    DsarPhase::AfterInteraction1,
+    DsarPhase::AfterInteraction2,
+];
 
 const INTERESTS: [Interest; 7] = [
     Interest::Electronics,
@@ -249,336 +371,261 @@ const INTERESTS: [Interest; 7] = [
     Interest::PetSupplies,
 ];
 
-fn interest_from_label(s: &str) -> Option<Interest> {
-    INTERESTS.into_iter().find(|i| i.label() == s)
+fn write_strings(w: &mut ByteWriter, v: &[String]) {
+    w.seq(v, |w, s| w.str(s));
 }
 
-fn strings_to_json(v: &[String]) -> Json {
-    Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect())
+fn read_strings(r: &mut ByteReader<'_>) -> Option<Vec<String>> {
+    r.seq(ByteReader::string)
 }
 
-fn strings_from_json(j: &Json) -> Option<Vec<String>> {
-    let mut out = Vec::new();
-    for s in j.as_arr()? {
-        out.push(s.as_str()?.to_string());
-    }
-    Some(out)
-}
-
-fn dsar_to_json(e: &DsarExport) -> Json {
-    let interests = match &e.advertising_interests {
-        None => Json::Null,
-        Some(list) => Json::Arr(
-            list.iter()
-                .map(|i| Json::Str(i.label().to_string()))
-                .collect(),
-        ),
-    };
-    obj(vec![
-        ("account", Json::Str(e.account.clone())),
-        ("interests", interests),
-        ("history", strings_to_json(&e.interaction_history)),
-    ])
-}
-
-fn dsar_from_json(j: &Json) -> Option<DsarExport> {
-    let interests = match j.get("interests")? {
-        Json::Null => None,
-        Json::Arr(list) => {
-            let mut out = Vec::new();
-            for i in list {
-                out.push(interest_from_label(i.as_str()?)?);
-            }
-            Some(out)
+fn write_dsar(w: &mut ByteWriter, e: &DsarExport) {
+    w.str(&e.account);
+    match &e.advertising_interests {
+        None => w.u8(0),
+        Some(list) => {
+            w.u8(1);
+            w.seq(list, |w, i| w.variant(&INTERESTS, i));
         }
-        _ => return None,
-    };
+    }
+    write_strings(w, &e.interaction_history);
+}
+
+fn read_dsar(r: &mut ByteReader<'_>) -> Option<DsarExport> {
     Some(DsarExport {
-        account: j.get("account")?.as_str()?.to_string(),
-        advertising_interests: interests,
-        interaction_history: strings_from_json(j.get("history")?)?,
+        account: r.string()?,
+        advertising_interests: match r.u8()? {
+            0 => None,
+            1 => Some(r.seq(|r| r.variant(&INTERESTS))?),
+            _ => return None,
+        },
+        interaction_history: read_strings(r)?,
     })
 }
 
 // ---- Crawl records --------------------------------------------------------
 
-fn visit_to_json(v: &VisitRecord) -> Json {
-    let bids = v
-        .bids
-        .iter()
-        .map(|b| {
-            obj(vec![
-                ("bidder", Json::Str(b.bidder.to_string())),
-                ("slot", Json::Str(b.slot_id.to_string())),
-                ("cpm", f64_hex(b.cpm)),
-            ])
-        })
-        .collect();
-    let creatives = v
-        .creatives
-        .iter()
-        .map(|c| {
-            obj(vec![
-                ("advertiser", Json::Str(c.advertiser.clone())),
-                ("product", Json::Str(c.product.clone())),
-            ])
-        })
-        .collect();
-    let syncs = v
-        .syncs
-        .iter()
-        .map(|s| {
-            obj(vec![
-                ("from", Json::Str(s.from_org.to_string())),
-                ("to", Json::Str(s.to_org.to_string())),
-                ("user", Json::Str(s.user_id.to_string())),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("site", Json::Str(v.site.clone())),
-        ("iteration", Json::Int(v.iteration as u64)),
-        ("bids", Json::Arr(bids)),
-        ("creatives", Json::Arr(creatives)),
-        ("syncs", Json::Arr(syncs)),
-    ])
+fn write_visit(w: &mut ByteWriter, v: &VisitRecord) {
+    w.str(&v.site);
+    w.usize(v.iteration);
+    w.seq(&v.bids, |w, b| {
+        w.label(&b.bidder);
+        w.label(&b.slot_id);
+        w.f64(b.cpm);
+    });
+    w.seq(&v.creatives, |w, c| {
+        w.str(&c.advertiser);
+        w.str(&c.product);
+    });
+    w.seq(&v.syncs, |w, s| {
+        w.label(&s.from_org);
+        w.label(&s.to_org);
+        w.label(&s.user_id);
+    });
 }
 
-/// Decode one crawl visit. Bidder, slot and sync labels come from `labels`,
-/// one shared `Arc<str>` per distinct text, as the in-process crawl shares
-/// them; `AnalysisIndex` memoizes labels by allocation address.
-fn visit_from_json(j: &Json, labels: &mut BTreeSet<Arc<str>>) -> Option<VisitRecord> {
-    let mut arc = |k: &str, o: &Json| -> Option<Arc<str>> {
-        let text = o.get(k)?.as_str()?;
-        Some(match labels.get(text) {
-            Some(label) => Arc::clone(label),
-            None => {
-                let label = Arc::from(text);
-                labels.insert(Arc::clone(&label));
-                label
-            }
-        })
-    };
-    let mut bids = Vec::new();
-    for b in j.get("bids")?.as_arr()? {
-        bids.push(Bid {
-            bidder: arc("bidder", b)?,
-            slot_id: arc("slot", b)?,
-            cpm: f64_from_hex(b.get("cpm")?)?,
-        });
-    }
-    let mut creatives = Vec::new();
-    for c in j.get("creatives")?.as_arr()? {
-        creatives.push(Creative {
-            advertiser: c.get("advertiser")?.as_str()?.to_string(),
-            product: c.get("product")?.as_str()?.to_string(),
-        });
-    }
-    let mut syncs = Vec::new();
-    for s in j.get("syncs")?.as_arr()? {
-        syncs.push(SyncObservation {
-            from_org: arc("from", s)?,
-            to_org: arc("to", s)?,
-            user_id: arc("user", s)?,
-        });
-    }
+fn read_visit(r: &mut ByteReader<'_>) -> Option<VisitRecord> {
     Some(VisitRecord {
-        site: j.get("site")?.as_str()?.to_string(),
-        iteration: j.get("iteration")?.as_u64()? as usize,
-        bids,
-        creatives,
-        syncs,
+        site: r.string()?,
+        iteration: r.usize()?,
+        bids: r.seq(|r| {
+            Some(Bid {
+                bidder: r.label()?,
+                slot_id: r.label()?,
+                cpm: r.f64()?,
+            })
+        })?,
+        creatives: r.seq(|r| {
+            Some(Creative {
+                advertiser: r.string()?,
+                product: r.string()?,
+            })
+        })?,
+        syncs: r.seq(|r| {
+            Some(SyncObservation {
+                from_org: r.label()?,
+                to_org: r.label()?,
+                user_id: r.label()?,
+            })
+        })?,
     })
 }
 
 // ---- Fault accounting ------------------------------------------------------
 
-fn service_from_label(s: &str) -> Option<StreamingService> {
-    StreamingService::ALL.into_iter().find(|v| v.label() == s)
+fn write_coverage(w: &mut ByteWriter, c: &Coverage) {
+    w.varint(c.observed);
+    w.varint(c.expected);
 }
 
-fn coverage_to_json(c: &alexa_fault::Coverage) -> Json {
-    obj(vec![
-        ("observed", Json::Int(c.observed)),
-        ("expected", Json::Int(c.expected)),
-    ])
+fn read_coverage(r: &mut ByteReader<'_>) -> Option<Coverage> {
+    Some(Coverage::new(r.varint()?, r.varint()?))
 }
 
-fn coverage_from_json(j: &Json) -> Option<alexa_fault::Coverage> {
-    Some(alexa_fault::Coverage::new(
-        j.get("observed")?.as_u64()?,
-        j.get("expected")?.as_u64()?,
-    ))
+fn write_ledger(w: &mut ByteWriter, l: &FaultLedger) {
+    w.usize(l.injected.len());
+    for (label, n) in &l.injected {
+        w.str(label);
+        w.varint(*n);
+    }
+    w.varint(l.retries);
+    w.varint(l.backoff_ms);
+    w.varint(l.losses);
+    w.bool(l.degraded);
 }
 
-fn ledger_to_json(l: &FaultLedger) -> Json {
-    let injected = l
-        .injected
-        .iter()
-        .map(|(label, n)| (label.to_string(), Json::Int(*n)))
-        .collect();
-    obj(vec![
-        ("injected", Json::Obj(injected)),
-        ("retries", Json::Int(l.retries)),
-        ("backoff_ms", Json::Int(l.backoff_ms)),
-        ("losses", Json::Int(l.losses)),
-        ("degraded", Json::Bool(l.degraded)),
-    ])
-}
-
-fn ledger_from_json(j: &Json) -> Option<FaultLedger> {
-    let mut injected: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (label, n) in j.get("injected")?.as_obj()? {
+fn read_ledger(r: &mut ByteReader<'_>) -> Option<FaultLedger> {
+    let mut injected = BTreeMap::new();
+    for _ in 0..r.count()? {
         // Round-trip through the channel registry to recover the 'static
         // label the ledger stores.
-        let channel = FaultChannel::from_label(label)?;
-        injected.insert(channel.label(), n.as_u64()?);
+        let channel = FaultChannel::from_label(r.str()?)?;
+        injected.insert(channel.label(), r.varint()?);
     }
     Some(FaultLedger {
         injected,
-        retries: j.get("retries")?.as_u64()?,
-        backoff_ms: j.get("backoff_ms")?.as_u64()?,
-        losses: j.get("losses")?.as_u64()?,
-        degraded: j.get("degraded")?.as_bool()?,
+        retries: r.varint()?,
+        backoff_ms: r.varint()?,
+        losses: r.varint()?,
+        degraded: r.bool()?,
     })
 }
 
 // ---- Shard payloads ---------------------------------------------------------
 
-pub(crate) fn persona_shard_to_json(s: &PersonaShard) -> Json {
-    let router = match &s.router_captures {
-        None => Json::Null,
-        Some(cs) => captures_to_json(cs),
-    };
-    let dsar = s
-        .dsar
-        .iter()
-        .map(|(phase, export)| {
-            obj(vec![
-                ("phase", Json::Str(phase_token(*phase).to_string())),
-                ("export", dsar_to_json(export)),
-            ])
-        })
-        .collect();
-    let audio = s
-        .audio
-        .iter()
-        .map(|(service, transcripts)| {
-            obj(vec![
-                ("service", Json::Str(service.label().to_string())),
-                ("transcripts", strings_to_json(transcripts)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("router_captures", router),
-        ("failed_installs", strings_to_json(&s.failed_installs)),
-        ("dsar", Json::Arr(dsar)),
-        (
-            "crawl",
-            Json::Arr(s.crawl.iter().map(visit_to_json).collect()),
-        ),
-        ("audio", Json::Arr(audio)),
-        ("ledger", ledger_to_json(&s.ledger)),
-        ("installs", coverage_to_json(&s.installs)),
-        ("interactions", coverage_to_json(&s.interactions)),
-        ("visits", coverage_to_json(&s.visits)),
-    ])
+pub(crate) fn write_persona_shard(w: &mut ByteWriter, s: &PersonaShard) {
+    match &s.router_captures {
+        None => w.u8(0),
+        Some(cs) => {
+            w.u8(1);
+            write_captures(w, cs);
+        }
+    }
+    write_strings(w, &s.failed_installs);
+    w.seq(&s.dsar, |w, (phase, export)| {
+        w.variant(&PHASES, phase);
+        write_dsar(w, export);
+    });
+    w.seq(&s.crawl, write_visit);
+    w.seq(&s.audio, |w, (service, transcripts)| {
+        w.variant(&StreamingService::ALL, service);
+        write_strings(w, transcripts);
+    });
+    write_ledger(w, &s.ledger);
+    write_coverage(w, &s.installs);
+    write_coverage(w, &s.interactions);
+    write_coverage(w, &s.visits);
 }
 
-pub(crate) fn persona_shard_from_json(j: &Json) -> Option<PersonaShard> {
-    let router_captures = match j.get("router_captures")? {
-        Json::Null => None,
-        other => Some(captures_from_json(other)?),
-    };
-    let mut dsar = Vec::new();
-    for d in j.get("dsar")?.as_arr()? {
-        dsar.push((
-            phase_from_token(d.get("phase")?.as_str()?)?,
-            dsar_from_json(d.get("export")?)?,
-        ));
-    }
-    let mut crawl = Vec::new();
-    let mut labels = BTreeSet::new();
-    for v in j.get("crawl")?.as_arr()? {
-        crawl.push(visit_from_json(v, &mut labels)?);
-    }
-    let mut audio = Vec::new();
-    for a in j.get("audio")?.as_arr()? {
-        audio.push((
-            service_from_label(a.get("service")?.as_str()?)?,
-            strings_from_json(a.get("transcripts")?)?,
-        ));
-    }
+pub(crate) fn read_persona_shard(r: &mut ByteReader<'_>) -> Option<PersonaShard> {
     Some(PersonaShard {
-        router_captures,
-        failed_installs: strings_from_json(j.get("failed_installs")?)?,
-        dsar,
-        crawl,
-        audio,
-        ledger: ledger_from_json(j.get("ledger")?)?,
-        installs: coverage_from_json(j.get("installs")?)?,
-        interactions: coverage_from_json(j.get("interactions")?)?,
-        visits: coverage_from_json(j.get("visits")?)?,
+        router_captures: match r.u8()? {
+            0 => None,
+            1 => Some(read_captures(r)?),
+            _ => return None,
+        },
+        failed_installs: read_strings(r)?,
+        dsar: r.seq(|r| Some((r.variant(&PHASES)?, read_dsar(r)?)))?,
+        crawl: r.seq(read_visit)?,
+        audio: r.seq(|r| Some((r.variant(&StreamingService::ALL)?, read_strings(r)?)))?,
+        ledger: read_ledger(r)?,
+        installs: read_coverage(r)?,
+        interactions: read_coverage(r)?,
+        visits: read_coverage(r)?,
     })
 }
 
-/// Serialize a shard's allocation window. The size histogram travels
-/// sparsely — one `[bucket_lo, count]` pair per non-empty bucket — because
-/// a 65-bucket log2 histogram is almost entirely zeros.
-pub(crate) fn shard_alloc_to_json(a: &ShardAlloc) -> Json {
-    let sizes = a
-        .sizes
-        .sparse()
-        .into_iter()
-        .map(|(lo, _hi, count)| Json::Arr(vec![Json::Int(lo), Json::Int(count)]))
-        .collect();
-    obj(vec![
-        ("count", Json::Int(a.count)),
-        ("bytes", Json::Int(a.bytes)),
-        ("peak_bytes", Json::Int(a.peak_bytes)),
-        ("sizes", Json::Arr(sizes)),
-    ])
+pub(crate) fn write_avs_shard(w: &mut ByteWriter, s: &AvsShard) {
+    write_captures(w, &s.captures);
+    write_ledger(w, &s.ledger);
+    write_coverage(w, &s.skills);
 }
 
-pub(crate) fn shard_alloc_from_json(j: &Json) -> Option<ShardAlloc> {
-    let mut sizes = alexa_obs::Histogram::new();
-    for pair in j.get("sizes")?.as_arr()? {
-        let pair = pair.as_arr()?;
-        if pair.len() != 2 {
+pub(crate) fn read_avs_shard(r: &mut ByteReader<'_>) -> Option<AvsShard> {
+    Some(AvsShard {
+        captures: read_captures(r)?,
+        ledger: read_ledger(r)?,
+        skills: read_coverage(r)?,
+    })
+}
+
+/// Write a shard's allocation window. The size histogram travels sparsely
+/// — one `(bucket_lo, count)` pair per non-empty bucket — because a
+/// 65-bucket log2 histogram is almost entirely zeros.
+pub(crate) fn write_shard_alloc(w: &mut ByteWriter, a: &ShardAlloc) {
+    w.varint(a.count);
+    w.varint(a.bytes);
+    w.varint(a.peak_bytes);
+    w.seq(&a.sizes.sparse(), |w, &(lo, _hi, count)| {
+        w.varint(lo);
+        w.varint(count);
+    });
+}
+
+pub(crate) fn read_shard_alloc(r: &mut ByteReader<'_>) -> Option<ShardAlloc> {
+    let count = r.varint()?;
+    let bytes = r.varint()?;
+    let peak_bytes = r.varint()?;
+    let mut sizes = Histogram::new();
+    let mut next_bucket = 0;
+    for _ in 0..r.count()? {
+        // Pairs come as `sparse` writes them: ascending, one per non-empty
+        // bucket, keyed by the bucket's lower bound. A bound is itself a
+        // member of its bucket, so recording it `count` times rebuilds the
+        // exact bucket array, and no bucket is added to twice.
+        let (lo, count) = (r.varint()?, r.varint()?);
+        let bucket = Histogram::bucket_of(lo);
+        if bucket < next_bucket || Histogram::bounds(bucket).0 != lo || count == 0 {
             return None;
         }
-        // A bucket's lower bound is itself a member of the bucket, so
-        // recording it `count` times rebuilds the exact bucket array.
-        sizes.record_n(pair[0].as_u64()?, pair[1].as_u64()?);
+        sizes.record_n(lo, count);
+        next_bucket = bucket + 1;
     }
     Some(ShardAlloc {
-        count: j.get("count")?.as_u64()?,
-        bytes: j.get("bytes")?.as_u64()?,
-        peak_bytes: j.get("peak_bytes")?.as_u64()?,
+        count,
+        bytes,
+        peak_bytes,
         sizes,
     })
 }
 
-pub(crate) fn avs_shard_to_json(s: &AvsShard) -> Json {
-    obj(vec![
-        ("captures", captures_to_json(&s.captures)),
-        ("ledger", ledger_to_json(&s.ledger)),
-        ("skills", coverage_to_json(&s.skills)),
-    ])
+// ---- Worker replies ---------------------------------------------------------
+
+/// The body of a worker's `ok` reply: the shard, the log's allocation
+/// window (§16), then the worker-side log as length-prefixed wire JSON.
+/// Span-level alloc deltas ride inside the log; the shard-level window is
+/// not part of the span tree, so it rides beside it.
+pub(crate) fn encode_worker_reply(
+    write_shard: impl FnOnce(&mut ByteWriter),
+    log: &ShardLog,
+) -> Vec<u8> {
+    to_bytes(|w| {
+        write_shard(w);
+        write_shard_alloc(w, &ShardAlloc::of(log));
+        w.str(&log.to_wire_json().render());
+    })
 }
 
-pub(crate) fn avs_shard_from_json(j: &Json) -> Option<AvsShard> {
-    Some(AvsShard {
-        captures: captures_from_json(j.get("captures")?)?,
-        ledger: ledger_from_json(j.get("ledger")?)?,
-        skills: coverage_from_json(j.get("skills")?)?,
+/// Split a reply body written by [`encode_worker_reply`] into the shard,
+/// the allocation window and the log's wire JSON text.
+pub(crate) fn decode_worker_reply<'a, T>(
+    body: &'a [u8],
+    read_shard: impl FnOnce(&mut ByteReader<'a>) -> Option<T>,
+) -> Option<(T, ShardAlloc, &'a str)> {
+    from_bytes(body, |r| {
+        Some((read_shard(r)?, read_shard_alloc(r)?, r.str()?))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persona::Persona;
+    use crate::worker::{run_spec, World};
+    use alexa_exec::{read_reply, write_reply, ShardSpec};
+    use alexa_obs::Recorder;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn sample_capture() -> Capture {
         Capture {
@@ -614,6 +661,11 @@ mod tests {
         l
     }
 
+    fn persona_round_trip(shard: &PersonaShard) -> PersonaShard {
+        let bytes = to_bytes(|w| write_persona_shard(w, shard));
+        from_bytes(&bytes, read_persona_shard).unwrap()
+    }
+
     #[test]
     fn persona_shard_round_trips_bit_exactly() {
         let shard = PersonaShard {
@@ -647,14 +699,11 @@ mod tests {
             }],
             audio: vec![(StreamingService::Pandora, vec!["ad script".into()])],
             ledger: sample_ledger(),
-            installs: alexa_fault::Coverage::new(9, 10),
-            interactions: alexa_fault::Coverage::new(17, 20),
-            visits: alexa_fault::Coverage::new(48, 48),
+            installs: Coverage::new(9, 10),
+            interactions: Coverage::new(17, 20),
+            visits: Coverage::new(48, 48),
         };
-        // Round-trip through the rendered string (exactly what crosses the
-        // worker pipe), not just the Json tree.
-        let rendered = persona_shard_to_json(&shard).render();
-        let decoded = persona_shard_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        let decoded = persona_round_trip(&shard);
         assert_eq!(decoded.router_captures, shard.router_captures);
         assert_eq!(decoded.failed_installs, shard.failed_installs);
         assert_eq!(decoded.dsar, shard.dsar);
@@ -669,10 +718,88 @@ mod tests {
         assert_eq!(a.creatives, b.creatives);
         assert_eq!(a.syncs, b.syncs);
         assert_eq!(a.bids[0].bidder, b.bids[0].bidder);
-        // The lossy part of JSON floats must NOT be lossy here.
         assert_eq!(a.bids[0].cpm.to_bits(), b.bids[0].cpm.to_bits());
         // Debug-render equality is what the digest actually hashes.
         assert_eq!(format!("{:?}", a.bids), format!("{:?}", b.bids));
+    }
+
+    #[test]
+    fn every_variant_and_edge_value_round_trips() {
+        let bids = [0.0, -0.0, f64::MIN_POSITIVE, f64::MAX, f64::NAN, 1e-300]
+            .into_iter()
+            .map(|cpm| Bid {
+                bidder: Arc::from(""),
+                slot_id: Arc::from("é#0"),
+                cpm,
+            })
+            .collect();
+        let shard = PersonaShard {
+            router_captures: None,
+            dsar: PHASES
+                .into_iter()
+                .map(|phase| {
+                    let export = DsarExport {
+                        account: String::new(),
+                        advertising_interests: None,
+                        interaction_history: Vec::new(),
+                    };
+                    (phase, export)
+                })
+                .chain([(
+                    DsarPhase::AfterInstall,
+                    DsarExport {
+                        account: "a".into(),
+                        advertising_interests: Some(INTERESTS.to_vec()),
+                        interaction_history: vec![String::new()],
+                    },
+                )])
+                .collect(),
+            crawl: vec![VisitRecord {
+                site: String::new(),
+                iteration: usize::MAX,
+                bids,
+                creatives: Vec::new(),
+                syncs: Vec::new(),
+            }],
+            audio: StreamingService::ALL
+                .into_iter()
+                .map(|s| (s, Vec::new()))
+                .collect(),
+            ledger: FaultLedger::new(),
+            installs: Coverage::new(u64::MAX, 0),
+            ..PersonaShard::default()
+        };
+        let decoded = persona_round_trip(&shard);
+        assert!(decoded.router_captures.is_none());
+        assert_eq!(decoded.dsar, shard.dsar);
+        assert_eq!(decoded.audio, shard.audio);
+        assert_eq!(decoded.installs, shard.installs);
+        assert_eq!(decoded.crawl[0].iteration, usize::MAX);
+        let bits = |v: &VisitRecord| v.bids.iter().map(|b| b.cpm.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded.crawl[0]), bits(&shard.crawl[0]));
+
+        let packets = DataType::ALL
+            .into_iter()
+            .map(|t| {
+                Packet::incoming(
+                    u64::MAX,
+                    Domain::parse("avs.amazon.com").unwrap(),
+                    "255.0.0.1".parse().unwrap(),
+                    Payload::Plain(vec![Record::new(t, "v")]),
+                )
+            })
+            .collect();
+        let avs = AvsShard {
+            captures: vec![Capture {
+                label: String::new(),
+                packets,
+            }],
+            ledger: FaultLedger::new(),
+            skills: Coverage::default(),
+        };
+        let bytes = to_bytes(|w| write_avs_shard(w, &avs));
+        let decoded = from_bytes(&bytes, read_avs_shard).unwrap();
+        assert_eq!(decoded.captures, avs.captures);
     }
 
     /// Equal labels decode to one shared allocation, so the index's
@@ -690,7 +817,11 @@ mod tests {
             iteration: 0,
             bids,
             creatives: Vec::new(),
-            syncs: Vec::new(),
+            syncs: vec![SyncObservation {
+                from_org: Arc::from("adx.example"),
+                to_org: Arc::from("b.example"),
+                user_id: Arc::from("uid-1"),
+            }],
         };
         let shard = PersonaShard {
             crawl: vec![
@@ -699,13 +830,20 @@ mod tests {
             ],
             ..PersonaShard::default()
         };
-        let rendered = persona_shard_to_json(&shard).render();
-        let decoded = persona_shard_from_json(&Json::parse(&rendered).unwrap()).unwrap();
-        let (first, second) = (&decoded.crawl[0].bids, &decoded.crawl[1].bids);
-        assert!(Arc::ptr_eq(&first[0].bidder, &first[1].bidder));
-        assert!(Arc::ptr_eq(&first[0].bidder, &second[0].bidder));
-        assert!(Arc::ptr_eq(&first[0].slot_id, &second[0].slot_id));
-        assert!(!Arc::ptr_eq(&first[0].slot_id, &first[1].slot_id));
+        let decoded = persona_round_trip(&shard);
+        let (first, second) = (&decoded.crawl[0], &decoded.crawl[1]);
+        assert!(Arc::ptr_eq(&first.bids[0].bidder, &first.bids[1].bidder));
+        assert!(Arc::ptr_eq(&first.bids[0].bidder, &second.bids[0].bidder));
+        assert!(Arc::ptr_eq(
+            &first.bids[0].bidder,
+            &second.syncs[0].from_org
+        ));
+        assert!(Arc::ptr_eq(&first.bids[0].slot_id, &second.bids[0].slot_id));
+        assert!(!Arc::ptr_eq(&first.bids[0].slot_id, &first.bids[1].slot_id));
+        assert!(Arc::ptr_eq(
+            &first.syncs[0].user_id,
+            &second.syncs[0].user_id
+        ));
     }
 
     #[test]
@@ -713,10 +851,10 @@ mod tests {
         let shard = AvsShard {
             captures: vec![sample_capture()],
             ledger: sample_ledger(),
-            skills: alexa_fault::Coverage::new(8, 10),
+            skills: Coverage::new(8, 10),
         };
-        let rendered = avs_shard_to_json(&shard).render();
-        let decoded = avs_shard_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        let bytes = to_bytes(|w| write_avs_shard(w, &shard));
+        let decoded = from_bytes(&bytes, read_avs_shard).unwrap();
         assert_eq!(decoded.captures, shard.captures);
         assert_eq!(decoded.ledger, shard.ledger);
         assert_eq!(decoded.skills, shard.skills);
@@ -724,7 +862,7 @@ mod tests {
 
     #[test]
     fn shard_alloc_round_trips_including_sparse_histogram() {
-        let mut sizes = alexa_obs::Histogram::new();
+        let mut sizes = Histogram::new();
         sizes.record_n(0, 3); // bucket 0: exactly zero-sized requests
         sizes.record_n(24, 17);
         sizes.record_n(4096, 2);
@@ -735,8 +873,8 @@ mod tests {
             peak_bytes: 120_000,
             sizes,
         };
-        let rendered = shard_alloc_to_json(&alloc).render();
-        let decoded = shard_alloc_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+        let bytes = to_bytes(|w| write_shard_alloc(w, &alloc));
+        let decoded = from_bytes(&bytes, read_shard_alloc).unwrap();
         assert_eq!(decoded.count, alloc.count);
         assert_eq!(decoded.bytes, alloc.bytes);
         assert_eq!(decoded.peak_bytes, alloc.peak_bytes);
@@ -765,14 +903,156 @@ mod tests {
     }
 
     #[test]
-    fn malformed_documents_decode_to_none() {
-        assert!(persona_shard_from_json(&Json::Null).is_none());
-        assert!(avs_shard_from_json(&Json::Null).is_none());
+    fn malformed_input_decodes_to_none() {
         assert!(config_from_json(&Json::Null).is_none());
-        assert!(shard_alloc_from_json(&Json::Null).is_none());
-        assert!(f64_from_hex(&Json::Str("xyz".into())).is_none());
-        assert!(data_type_from_token("mystery").is_none());
-        assert!(phase_from_token("mystery").is_none());
         assert!(defense_from_token("mystery").is_none());
+        let alloc = ShardAlloc {
+            count: 1,
+            bytes: 2,
+            peak_bytes: 3,
+            sizes: Histogram::new(),
+        };
+        let good = to_bytes(|w| write_shard_alloc(w, &alloc));
+        assert!(from_bytes(&good, read_shard_alloc).is_some());
+        // Trailing bytes, an empty input, an 11-byte varint, and
+        // histogram pairs that are not one ascending bucket bound each.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let cases: [&[u8]; 6] = [
+            &trailing,
+            &[],
+            &[0xff; 11],
+            &[1, 2, 3, 2, 4, 5, 4, 5],
+            &[1, 2, 3, 1, 5, 1],
+            &[1, 2, 3, 1, 4, 0],
+        ];
+        for bytes in cases {
+            assert!(from_bytes(bytes, read_shard_alloc).is_none(), "{bytes:?}");
+        }
+        // A label reference before any label text, and a count larger than
+        // the input.
+        assert!(from_bytes(&[5], |r| r.label()).is_none());
+        assert!(from_bytes(&[200, 1], |r| r.seq(|r| r.u8())).is_none());
+        // Unknown variant and option tags.
+        assert!(from_bytes(&[9], |r| r.variant(&DIRECTIONS)).is_none());
+        assert!(from_bytes(&[2], read_payload).is_none());
+        assert!(from_bytes(&[2], read_avs_shard).is_none());
+    }
+
+    /// The worker replies of the 13 persona shards of a small-scale seed-7
+    /// `flaky` run, framed exactly as `repro --shard-worker` writes them.
+    fn small7_flaky_frames() -> &'static [Vec<u8>] {
+        static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        FRAMES.get_or_init(|| {
+            let config = AuditConfig::small(7).with_faults(FaultProfile::flaky());
+            let payload = config_to_json(&config).render().into_bytes();
+            let world = World::build(&payload).unwrap();
+            let rec = Recorder::new();
+            Persona::all()
+                .into_iter()
+                .enumerate()
+                .map(|(index, persona)| {
+                    let spec = ShardSpec {
+                        group: "persona".into(),
+                        index,
+                        label: persona.name(),
+                        payload: payload.clone(),
+                    };
+                    let mut frame = Vec::new();
+                    write_reply(&mut frame, index, &run_spec(&world, &spec, &rec)).unwrap();
+                    frame
+                })
+                .collect()
+        })
+    }
+
+    /// The smallest of those frames, for the exhaustive robustness checks.
+    fn small_frame() -> &'static [u8] {
+        small7_flaky_frames()
+            .iter()
+            .min_by_key(|f| f.len())
+            .unwrap()
+    }
+
+    /// Decode a whole reply frame as the parent does.
+    fn decode_frame(frame: &[u8]) -> Option<(PersonaShard, ShardLog)> {
+        let body = read_reply(&mut &frame[..]).ok()??.result.ok()?;
+        let (shard, alloc, log) = decode_worker_reply(&body, read_persona_shard)?;
+        let mut log = ShardLog::from_wire_json(&Json::parse(log).ok()?)?;
+        log.set_alloc(alloc.count, alloc.bytes, alloc.peak_bytes, alloc.sizes);
+        Some((shard, log))
+    }
+
+    /// Keeps the wire win: the JSON replies these frames replaced totalled
+    /// 7.3 MB for this run, and the byte codec measured 0.76 MB.
+    #[test]
+    fn small_seed7_flaky_persona_frames_total_at_most_one_megabyte() {
+        let frames = small7_flaky_frames();
+        assert_eq!(frames.len(), 13);
+        let total: usize = frames.iter().map(Vec::len).sum();
+        assert!(total <= 1 << 20, "persona frames total {total} bytes");
+        for frame in frames {
+            let (shard, log) = decode_frame(frame).unwrap();
+            assert!(!shard.crawl.is_empty());
+            assert!(log.alloc_count() > 0);
+            // Re-encoding the decoded shard and log gives the same frame.
+            let reply = read_reply(&mut &frame[..]).unwrap().unwrap();
+            let body = encode_worker_reply(|w| write_persona_shard(w, &shard), &log);
+            let mut again = Vec::new();
+            write_reply(&mut again, reply.index, &Ok(body)).unwrap();
+            assert!(again == *frame);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_persona_frame_is_rejected() {
+        let frame = small_frame();
+        assert!(decode_frame(frame).is_some());
+        assert_eq!(read_reply(&mut &frame[..0]), Ok(None));
+        for cut in 1..frame.len() {
+            assert!(read_reply(&mut &frame[..cut]).is_err(), "cut at {cut}");
+        }
+        // The body decoder on its own, at a spread of cut points: the
+        // body is written front to back, so a cut anywhere leaves a
+        // length prefix or a field short.
+        let body = read_reply(&mut &frame[..])
+            .unwrap()
+            .unwrap()
+            .result
+            .unwrap();
+        let step = (body.len() / 509).max(1);
+        let cuts = (0..body.len())
+            .step_by(step)
+            .chain(body.len() - 64..body.len());
+        for cut in cuts {
+            assert!(
+                decode_worker_reply(&body[..cut], read_persona_shard).is_none(),
+                "body cut at {cut}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            bytes in prop::collection::vec(0u8..=255, 0..256),
+        ) {
+            let _ = read_reply(&mut &bytes[..]);
+            let _ = ShardSpec::read_frame(&mut &bytes[..]);
+            let _ = from_bytes(&bytes, read_persona_shard);
+            let _ = from_bytes(&bytes, read_avs_shard);
+            let _ = from_bytes(&bytes, read_shard_alloc);
+            let _ = decode_worker_reply(&bytes, read_persona_shard);
+        }
+
+        #[test]
+        fn decoders_never_panic_on_a_byte_flip(at in 0usize..usize::MAX, flip in 1u8..=255) {
+            let mut frame = small_frame().to_vec();
+            let at = at % frame.len();
+            frame[at] ^= flip;
+            let _ = decode_frame(&frame);
+        }
     }
 }

@@ -2,18 +2,18 @@
 //! pipe protocol (DESIGN.md §15).
 //!
 //! `repro --shard-worker` calls [`run_shard_worker`], which loops over
-//! stdin: one wire-encoded [`ShardSpec`](alexa_exec::ShardSpec) per line,
-//! one [`encode_reply`](alexa_exec::encode_reply) line on stdout per spec.
+//! stdin: one [`ShardSpec`](alexa_exec::ShardSpec) frame in, one
+//! [`write_reply`](alexa_exec::write_reply) frame out on stdout per spec.
 //! The spec's payload is the rendered audit configuration; the worker
 //! memoizes the rebuilt world (marketplace, fault plane, web ecosystem,
-//! crawler) keyed on that exact payload string, so serving many shards of
+//! crawler) keyed on those exact payload bytes, so serving many shards of
 //! one run regenerates the shared inputs once.
 //!
-//! A reply's payload is `{"shard": <wire shard>, "alloc": <wire alloc
-//! window>, "log": <wire shard log>}`: the parent decodes the shard into its
-//! typed form, re-installs the allocation window on the decoded log and
-//! submits the log to its recorder, making a process-backend report
-//! structurally identical to an in-process one.
+//! A reply's payload is [`wire::encode_worker_reply`]'s body: the
+//! byte-encoded shard, its allocation window and its log. The parent
+//! decodes the shard into its typed form, re-installs the allocation window
+//! on the decoded log and submits the log to its recorder, making a
+//! process-backend report structurally identical to an in-process one.
 //!
 //! Test hooks (integration tests only):
 //!
@@ -23,21 +23,21 @@
 //!   60000) — sleep before replying, simulating a hung worker for the
 //!   parent's wall-clock timeout.
 
-use crate::experiment::{run_avs_shard, run_persona_shard, AuditConfig, ShardAlloc};
+use crate::experiment::{run_avs_shard, run_persona_shard, AuditConfig};
 use crate::persona::Persona;
 use crate::wire;
 use alexa_adtech::bidding::{standard_roster, SeasonModel};
 use alexa_adtech::{Auction, Crawler, SyncGraph, WebEcosystem};
-use alexa_exec::{encode_reply, ShardSpec};
+use alexa_exec::{write_reply, ShardSpec};
 use alexa_fault::FaultPlane;
 use alexa_obs::{Json, Recorder};
 use alexa_platform::{Marketplace, SkillCategory};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufWriter};
 
 /// The run-wide shared inputs, rebuilt from a spec's config payload and
-/// memoized on the payload string.
-struct World {
-    key: String,
+/// memoized on the payload bytes.
+pub(crate) struct World {
+    key: Vec<u8>,
     config: AuditConfig,
     market: Marketplace,
     plane: FaultPlane,
@@ -46,8 +46,9 @@ struct World {
 }
 
 impl World {
-    fn build(payload: &str) -> Option<World> {
-        let config = wire::config_from_json(&Json::parse(payload).ok()?)?;
+    pub(crate) fn build(payload: &[u8]) -> Option<World> {
+        let text = std::str::from_utf8(payload).ok()?;
+        let config = wire::config_from_json(&Json::parse(text).ok()?)?;
         let market = Marketplace::generate(config.seed);
         // Identical derivation to the parent's `execute_with`: the worker
         // must make exactly the fault decisions the in-process run makes.
@@ -60,7 +61,7 @@ impl World {
         };
         let crawler = Crawler::new(auction, sync_graph);
         Some(World {
-            key: payload.to_string(),
+            key: payload.to_vec(),
             config,
             market,
             plane,
@@ -71,10 +72,10 @@ impl World {
 }
 
 /// Execute one spec against a rebuilt world; the `Ok` payload is the reply
-/// document (shard + log).
-fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<String, String> {
+/// body (shard, allocation window, log).
+pub(crate) fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<Vec<u8>, String> {
     let mut log = rec.shard(&spec.group, spec.index, &spec.label);
-    let shard_json = match spec.group.as_str() {
+    match spec.group.as_str() {
         "avs" => {
             let cat = *SkillCategory::ALL
                 .get(spec.index)
@@ -87,7 +88,10 @@ fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<String, S
                 cat,
                 &mut log,
             );
-            wire::avs_shard_to_json(&shard)
+            Ok(wire::encode_worker_reply(
+                |w| wire::write_avs_shard(w, &shard),
+                &log,
+            ))
         }
         "persona" => {
             let personas = Persona::all();
@@ -105,27 +109,19 @@ fn run_spec(world: &World, spec: &ShardSpec, rec: &Recorder) -> Result<String, S
                 spec.index,
                 &mut log,
             );
-            wire::persona_shard_to_json(&shard)
+            Ok(wire::encode_worker_reply(
+                |w| wire::write_persona_shard(w, &shard),
+                &log,
+            ))
         }
-        other => return Err(format!("unknown shard group '{other}'")),
-    };
-    Ok(Json::Obj(vec![
-        ("shard".to_string(), shard_json),
-        (
-            // Shard-level allocation window (DESIGN.md §16): span-level
-            // deltas ride inside "log", the window rides beside it.
-            "alloc".to_string(),
-            wire::shard_alloc_to_json(&ShardAlloc::of(&log)),
-        ),
-        ("log".to_string(), log.to_wire_json()),
-    ])
-    .render())
+        other => Err(format!("unknown shard group '{other}'")),
+    }
 }
 
 /// The worker main loop. Returns the process exit code: 0 on clean EOF
-/// (parent closed the pipe), 1 on a broken pipe, 2 on a malformed spec line
-/// (a protocol bug, not a shard failure — shard failures are replied as
-/// errors and degraded by the parent).
+/// (parent closed the pipe), 1 on a broken pipe, 2 on a malformed spec
+/// frame (a protocol bug, not a shard failure — shard failures are replied
+/// as errors and degraded by the parent).
 pub fn run_shard_worker() -> i32 {
     let crash = std::env::var("REPRO_WORKER_CRASH").ok();
     let stall = std::env::var("REPRO_WORKER_STALL").ok();
@@ -133,18 +129,16 @@ pub fn run_shard_worker() -> i32 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let stdin = io::stdin();
-    let mut stdout = io::stdout();
+    let mut stdin = io::stdin().lock();
+    let mut stdout = BufWriter::new(io::stdout().lock());
     let mut world: Option<World> = None;
     // Only opens enabled shard logs: nothing is ever submitted to it.
     let rec = Recorder::new();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { return 1 };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(spec) = ShardSpec::from_wire_line(&line) else {
-            return 2;
+    loop {
+        let spec = match ShardSpec::read_frame(&mut stdin) {
+            Ok(Some(spec)) => spec,
+            Ok(None) => return 0,
+            Err(_) => return 2,
         };
         let coord = format!("{}/{}", spec.group, spec.index);
         if crash.as_deref() == Some(coord.as_str()) {
@@ -161,10 +155,8 @@ pub fn run_shard_worker() -> i32 {
             Some(w) => run_spec(w, &spec, &rec),
             None => Err("shard payload did not decode to an audit config".to_string()),
         };
-        let reply = encode_reply(spec.index, &result);
-        if writeln!(stdout, "{reply}").is_err() || stdout.flush().is_err() {
+        if write_reply(&mut stdout, spec.index, &result).is_err() {
             return 1;
         }
     }
-    0
 }

@@ -45,8 +45,8 @@
 //! `--backend thread|process|mock-remote` selects the shard execution
 //! backend (DESIGN.md §15); all three produce byte-identical output for a
 //! given `(seed, fault profile)`. `--shard-worker` is the internal child
-//! entry point the `process` backend spawns — one wire-encoded shard spec
-//! per stdin line, one reply per stdout line.
+//! entry point the `process` backend spawns — one shard spec frame in on
+//! stdin, one reply frame out on stdout.
 //!
 //! Any unknown artifact name or flag is a hard error (exit 2) — including
 //! alongside `all` — so a typo in a CI invocation can never pass green.

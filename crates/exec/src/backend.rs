@@ -2,7 +2,7 @@
 //!
 //! The in-process [`par_map`] runs a closure over owned items; a backend
 //! runs **serializable shards**: each unit of work is a [`ShardSpec`] whose
-//! payload is an opaque JSON string, and each finished shard hands back a
+//! payload is opaque bytes, and each finished shard hands back a
 //! [`ShardOutcome`] — either a result payload or a typed loss. Every
 //! backend commits its outcomes through the ordered [`Committer`], so the
 //! merged vector is a pure function of the specs regardless of which
@@ -10,11 +10,13 @@
 //!
 //! * [`ThreadBackend`] — today's `par_map` semantics: the shard closure runs
 //!   in-process on scoped worker threads.
-//! * [`ProcessBackend`] — a pool of child processes speaking a line-oriented
-//!   JSON protocol over stdin/stdout, with per-shard wall-clock timeouts,
-//!   crash detection (non-zero exit, malformed output, dead pipe) and a
-//!   bounded respawn budget. A dead worker degrades its shard, never the
-//!   run.
+//! * [`ProcessBackend`] — a pool of child processes speaking a framed
+//!   protocol over stdin/stdout, with per-shard wall-clock timeouts, crash
+//!   detection (non-zero exit, malformed output, dead pipe) and a bounded
+//!   respawn budget. A dead worker degrades its shard, never the run. A
+//!   frame is one JSON header line carrying the protocol version and the
+//!   body length `len`, then exactly `len` raw payload bytes; a `len`
+//!   above a fixed cap is malformed and is never read or allocated.
 //! * [`MockRemoteBackend`] — a submit → execute → poll → fetch state machine
 //!   whose transient transport failures are driven by the deterministic
 //!   [`FaultPlane`] through [`retry`] + [`RetryBudget`]: structural keys
@@ -39,22 +41,29 @@ use alexa_fault::{retry, FaultChannel, FaultPlane, FaultProfile, RetryBudget, Re
 use alexa_json::Json;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 /// Protocol version of the shard wire format.
-const WIRE_VERSION: u64 = 1;
+const WIRE_VERSION: u64 = 2;
+
+/// The most bytes one frame body may announce. The largest reply today (a
+/// paper-scale persona shard) is about 0.3 MB; a header announcing more
+/// than this is malformed, and nothing is allocated for it.
+const MAX_FRAME_LEN: u64 = 16 << 20;
+
+/// The longest header line a reader accepts, newline included.
+const MAX_HEADER_LEN: u64 = 4096;
 
 /// One serializable unit of work.
 ///
 /// `index` is the shard's structural position in its group's work list —
 /// the committer orders outcomes by it, and backends require the specs of
-/// one run to carry exactly the indexes `0..n`. `payload` is an opaque
-/// string (by convention a rendered JSON document) that the executing side
-/// decodes; the backend never looks inside it.
+/// one run to carry exactly the indexes `0..n`. `payload` is opaque bytes
+/// that the executing side decodes; the backend never looks inside it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Structural group name ("persona", "avs", ...).
@@ -64,87 +73,156 @@ pub struct ShardSpec {
     /// Human label (persona name, category label).
     pub label: String,
     /// Opaque serialized input for the shard.
-    pub payload: String,
+    pub payload: Vec<u8>,
 }
 
 impl ShardSpec {
-    /// Encode the spec as one line of the worker protocol.
-    pub fn to_wire_line(&self) -> String {
-        Json::Obj(vec![
-            ("v".into(), Json::Int(WIRE_VERSION)),
+    /// Write the spec as one frame of the worker protocol, then flush.
+    pub fn write_frame(&self, w: &mut impl Write) -> io::Result<()> {
+        let header = vec![
             ("group".into(), Json::Str(self.group.clone())),
             ("index".into(), Json::Int(self.index as u64)),
             ("label".into(), Json::Str(self.label.clone())),
-            ("payload".into(), Json::Str(self.payload.clone())),
-        ])
-        .render()
+        ];
+        write_frame(w, header, &self.payload)
     }
 
-    /// Decode a protocol line back into a spec (the worker side).
-    pub fn from_wire_line(line: &str) -> Result<ShardSpec, String> {
-        let j = Json::parse(line).map_err(|e| format!("shard spec line: {e}"))?;
-        if j.get("v").and_then(Json::as_u64) != Some(WIRE_VERSION) {
-            return Err("shard spec line: unsupported protocol version".to_string());
-        }
+    /// Read the next spec frame (the worker side); `Ok(None)` is a clean
+    /// end of input between frames.
+    pub fn read_frame(r: &mut impl BufRead) -> Result<Option<ShardSpec>, String> {
+        let Some((header, payload, _)) = read_frame(r, "shard spec")? else {
+            return Ok(None);
+        };
         let field = |k: &str| {
-            j.get(k)
+            header
+                .get(k)
                 .and_then(Json::as_str)
                 .map(str::to_string)
-                .ok_or_else(|| format!("shard spec line: missing string field {k:?}"))
+                .ok_or_else(|| format!("shard spec header: missing string field {k:?}"))
         };
-        Ok(ShardSpec {
+        Ok(Some(ShardSpec {
             group: field("group")?,
-            index: j
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or("shard spec line: missing index")? as usize,
+            index: header_index(&header, "shard spec")?,
             label: field("label")?,
-            payload: field("payload")?,
-        })
+            payload,
+        }))
     }
 }
 
-/// Encode a worker's reply for shard `index` as one protocol line.
-pub fn encode_reply(index: usize, result: &Result<String, String>) -> String {
-    let mut fields = vec![
-        ("v".to_string(), Json::Int(WIRE_VERSION)),
-        ("index".to_string(), Json::Int(index as u64)),
-        ("ok".to_string(), Json::Bool(result.is_ok())),
+/// One worker reply as the parent reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reply {
+    /// The structural index the worker answered.
+    pub index: usize,
+    /// The shard's payload, or the worker's error text.
+    pub result: Result<Vec<u8>, String>,
+    /// Bytes the frame took on the pipe, header line included.
+    pub frame_bytes: u64,
+}
+
+/// Write a worker's reply for shard `index` as one frame, then flush. An
+/// `Err` reply carries the error text as its body.
+pub fn write_reply(
+    w: &mut impl Write,
+    index: usize,
+    result: &Result<Vec<u8>, String>,
+) -> io::Result<()> {
+    let header = vec![
+        ("index".into(), Json::Int(index as u64)),
+        ("ok".into(), Json::Bool(result.is_ok())),
     ];
-    match result {
-        Ok(payload) => fields.push(("payload".to_string(), Json::Str(payload.clone()))),
-        Err(error) => fields.push(("error".to_string(), Json::Str(error.clone()))),
-    }
-    Json::Obj(fields).render()
+    let body = match result {
+        Ok(payload) => payload.as_slice(),
+        Err(error) => error.as_bytes(),
+    };
+    write_frame(w, header, body)
 }
 
-/// Decode a worker reply line into `(index, result)`.
-pub fn decode_reply(line: &str) -> Result<(usize, Result<String, String>), String> {
-    let j = Json::parse(line).map_err(|e| format!("worker reply line: {e}"))?;
-    if j.get("v").and_then(Json::as_u64) != Some(WIRE_VERSION) {
-        return Err("worker reply line: unsupported protocol version".to_string());
-    }
-    let index = j
-        .get("index")
-        .and_then(Json::as_u64)
-        .ok_or("worker reply line: missing index")? as usize;
-    let ok = j
+/// Read the next reply frame (the parent side); `Ok(None)` is a clean end
+/// of input between frames.
+pub fn read_reply(r: &mut impl BufRead) -> Result<Option<Reply>, String> {
+    let Some((header, body, frame_bytes)) = read_frame(r, "worker reply")? else {
+        return Ok(None);
+    };
+    let index = header_index(&header, "worker reply")?;
+    let ok = header
         .get("ok")
         .and_then(Json::as_bool)
-        .ok_or("worker reply line: missing ok flag")?;
+        .ok_or("worker reply header: missing ok flag")?;
     let result = if ok {
-        Ok(j.get("payload")
-            .and_then(Json::as_str)
-            .ok_or("worker reply line: ok without payload")?
-            .to_string())
+        Ok(body)
     } else {
-        Err(j
-            .get("error")
-            .and_then(Json::as_str)
-            .ok_or("worker reply line: error without message")?
-            .to_string())
+        Err(String::from_utf8(body).map_err(|_| "worker reply: error text is not UTF-8")?)
     };
-    Ok((index, result))
+    Ok(Some(Reply {
+        index,
+        result,
+        frame_bytes,
+    }))
+}
+
+/// Frame = one JSON header line carrying `v` and `len`, then exactly `len`
+/// raw body bytes.
+fn write_frame(w: &mut impl Write, mut header: Vec<(String, Json)>, body: &[u8]) -> io::Result<()> {
+    header.insert(0, ("v".into(), Json::Int(WIRE_VERSION)));
+    header.push(("len".into(), Json::Int(body.len() as u64)));
+    writeln!(w, "{}", Json::Obj(header).render())?;
+    w.write_all(body)?;
+    w.flush()
+}
+
+/// Read one frame: the parsed header, the body, and the frame's size on
+/// the pipe. The header's version and `len` are checked before the body is
+/// read, so an announced length above [`MAX_FRAME_LEN`] allocates nothing.
+fn read_frame(r: &mut impl BufRead, what: &str) -> Result<Option<(Json, Vec<u8>, u64)>, String> {
+    let mut line = Vec::new();
+    r.by_ref()
+        .take(MAX_HEADER_LEN)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| format!("{what}: {e}"))?;
+    if line.is_empty() {
+        return Ok(None);
+    }
+    let header_bytes = line.len() as u64;
+    if line.pop() != Some(b'\n') {
+        return Err(format!(
+            "{what}: header line truncated or longer than {MAX_HEADER_LEN} bytes"
+        ));
+    }
+    let text = std::str::from_utf8(&line).map_err(|_| format!("{what}: header is not UTF-8"))?;
+    let header = Json::parse(text).map_err(|e| format!("{what} header: {e}"))?;
+    if header.get("v").and_then(Json::as_u64) != Some(WIRE_VERSION) {
+        return Err(format!("{what} header: unsupported protocol version"));
+    }
+    let len = header
+        .get("len")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what} header: missing len"))?;
+    if len > MAX_FRAME_LEN {
+        return Err(format!(
+            "{what} header: len {len} exceeds the {MAX_FRAME_LEN}-byte cap"
+        ));
+    }
+    let mut body = Vec::new();
+    r.by_ref()
+        .take(len)
+        .read_to_end(&mut body)
+        .map_err(|e| format!("{what}: {e}"))?;
+    if body.len() as u64 != len {
+        return Err(format!(
+            "{what}: body ended after {} of {len} bytes",
+            body.len()
+        ));
+    }
+    Ok(Some((header, body, header_bytes + len)))
+}
+
+fn header_index(header: &Json, what: &str) -> Result<usize, String> {
+    header
+        .get("index")
+        .and_then(Json::as_u64)
+        .and_then(|i| usize::try_from(i).ok())
+        .ok_or_else(|| format!("{what} header: missing index"))
 }
 
 /// A successfully executed shard.
@@ -153,7 +231,7 @@ pub struct ShardResult {
     /// The spec's structural index.
     pub index: usize,
     /// Opaque serialized output.
-    pub payload: String,
+    pub payload: Vec<u8>,
 }
 
 /// What one shard came to: a result, or a typed loss.
@@ -212,6 +290,9 @@ pub struct BackendStats {
     pub crashes: u64,
     /// Protocol violations (unparseable or misindexed replies).
     pub malformed: u64,
+    /// Bytes of the worker reply frames the parent accepted, header lines
+    /// included.
+    pub reply_bytes: u64,
 }
 
 impl BackendStats {
@@ -228,6 +309,7 @@ impl BackendStats {
         self.timeouts += other.timeouts;
         self.crashes += other.crashes;
         self.malformed += other.malformed;
+        self.reply_bytes += other.reply_bytes;
     }
 }
 
@@ -244,7 +326,7 @@ pub struct BackendRun {
 /// The shard executor a backend drives: decode the spec's payload, do the
 /// work, re-encode the result. `Err` is a shard-level failure the producer
 /// of the payload defined; transport failures never reach this function.
-pub type ExecFn<'a> = &'a (dyn Fn(&ShardSpec) -> Result<String, String> + Sync);
+pub type ExecFn<'a> = &'a (dyn Fn(&ShardSpec) -> Result<Vec<u8>, String> + Sync);
 
 /// Typed misuse of the ordered committer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -453,7 +535,7 @@ fn tally(n: usize, outcomes: &[ShardOutcome]) -> BackendStats {
     }
 }
 
-/// A pool of child worker processes speaking the line protocol.
+/// A pool of child worker processes speaking the frame protocol.
 ///
 /// Sizing comes from [`job_policy`] *without* the hardware clamp — separate
 /// processes are true parallelism even on a 1-thread host. Each pool slot
@@ -487,10 +569,10 @@ impl ProcessBackend {
 }
 
 /// One live child: the process handle plus the reader-thread channel that
-/// delivers its stdout lines.
+/// delivers its reply frames.
 struct Worker {
     child: std::process::Child,
-    lines: mpsc::Receiver<String>,
+    replies: mpsc::Receiver<Result<Reply, String>>,
 }
 
 impl Worker {
@@ -509,30 +591,31 @@ impl Worker {
             .stdout
             .take()
             .ok_or("process backend: worker has no stdout pipe")?;
-        let (tx, lines) = mpsc::channel();
-        // Detached reader: exits on child EOF (or when the receiver is
-        // dropped), so it can never outlive the pool by more than a pipe
-        // close.
+        let (tx, replies) = mpsc::channel();
+        // Detached reader: exits on child EOF, after the first malformed
+        // frame, or when the receiver is dropped, so it can never outlive
+        // the pool by more than a pipe close.
         std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                if tx.send(line).is_err() {
+            let mut stdout = BufReader::new(stdout);
+            while let Some(frame) = read_reply(&mut stdout).transpose() {
+                let malformed = frame.is_err();
+                if tx.send(frame).is_err() || malformed {
                     break;
                 }
             }
         });
-        Ok(Worker { child, lines })
+        Ok(Worker { child, replies })
     }
 
-    /// Send one spec line; a write failure is a dead pipe (= crash).
+    /// Send one spec frame; a write failure is a dead pipe (= crash).
     fn send(&mut self, spec: &ShardSpec) -> Result<(), String> {
         let stdin = self
             .child
             .stdin
             .as_mut()
             .ok_or("process backend: worker has no stdin pipe")?;
-        writeln!(stdin, "{}", spec.to_wire_line()).map_err(|e| format!("dead pipe: {e}"))?;
-        stdin.flush().map_err(|e| format!("dead pipe: {e}"))
+        spec.write_frame(&mut BufWriter::new(stdin))
+            .map_err(|e| format!("dead pipe: {e}"))
     }
 
     /// Kill and reap the child, returning its exit description.
@@ -571,7 +654,7 @@ impl Backend for ProcessBackend {
         exec_fn: ExecFn<'_>,
     ) -> Result<BackendRun, CommitError> {
         // exec_fn runs in the children, not here; the parent only shuttles
-        // payload strings.
+        // payload bytes.
         let _ = exec_fn;
         let n = specs.len();
         let pool = job_policy(jobs, false).min(n.max(1));
@@ -645,9 +728,14 @@ impl Backend for ProcessBackend {
                             });
                             continue;
                         }
-                        match w.lines.recv_timeout(timeout) {
-                            Ok(line) => match decode_reply(&line) {
-                                Ok((index, result)) if index == spec.index => {
+                        match w.replies.recv_timeout(timeout) {
+                            Ok(frame) => match frame {
+                                Ok(Reply {
+                                    index,
+                                    result,
+                                    frame_bytes,
+                                }) if index == spec.index => {
+                                    locked(&stats).reply_bytes += frame_bytes;
                                     locked(&outcomes).push(match result {
                                         Ok(payload) => {
                                             ShardOutcome::Done(ShardResult { index, payload })
@@ -655,7 +743,7 @@ impl Backend for ProcessBackend {
                                         Err(error) => ShardOutcome::Lost { index, error },
                                     });
                                 }
-                                Ok((index, _)) => {
+                                Ok(Reply { index, .. }) => {
                                     let status =
                                         worker.take().map(Worker::kill).unwrap_or_default();
                                     locked(&stats).malformed += 1;
@@ -912,35 +1000,68 @@ mod tests {
                 group: "g".to_string(),
                 index: i,
                 label: format!("item-{i}"),
-                payload: format!("{i}"),
+                payload: i.to_string().into_bytes(),
             })
             .collect()
     }
 
-    fn double(spec: &ShardSpec) -> Result<String, String> {
-        let n: u64 = spec.payload.parse().map_err(|_| "not a number")?;
-        Ok(format!("{}", n * 2))
+    fn double(spec: &ShardSpec) -> Result<Vec<u8>, String> {
+        let n: u64 = std::str::from_utf8(&spec.payload)
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .ok_or("not a number")?;
+        Ok((n * 2).to_string().into_bytes())
     }
 
     #[test]
-    fn wire_lines_round_trip() {
+    fn frames_round_trip() {
         let spec = ShardSpec {
             group: "persona".into(),
             index: 3,
             label: "Connected Car".into(),
-            payload: r#"{"v": 1, "nested": "payload\nwith newline"}"#.into(),
+            payload: b"raw\nbytes \xff\x00 with newlines\n".to_vec(),
         };
-        let line = spec.to_wire_line();
-        assert!(!line.contains('\n'), "wire lines must be single-line");
-        assert_eq!(ShardSpec::from_wire_line(&line), Ok(spec));
+        let mut buf = Vec::new();
+        spec.write_frame(&mut buf).unwrap();
+        spec.write_frame(&mut buf).unwrap();
+        let mut r = buf.as_slice();
+        assert_eq!(ShardSpec::read_frame(&mut r), Ok(Some(spec.clone())));
+        assert_eq!(ShardSpec::read_frame(&mut r), Ok(Some(spec)));
+        assert_eq!(ShardSpec::read_frame(&mut r), Ok(None));
 
-        for result in [Ok("out".to_string()), Err("boom".to_string())] {
-            let line = encode_reply(7, &result);
-            assert!(!line.contains('\n'));
-            assert_eq!(decode_reply(&line), Ok((7, result)));
+        for result in [Ok(b"out\n".to_vec()), Err("boom".to_string())] {
+            let mut buf = Vec::new();
+            write_reply(&mut buf, 7, &result).unwrap();
+            let reply = read_reply(&mut buf.as_slice()).unwrap().unwrap();
+            assert_eq!((reply.index, &reply.result), (7, &result));
+            assert_eq!(reply.frame_bytes, buf.len() as u64);
         }
-        assert!(ShardSpec::from_wire_line("not json").is_err());
-        assert!(decode_reply(r#"{"v": 9, "index": 0, "ok": true}"#).is_err());
+        assert!(ShardSpec::read_frame(&mut &b"not json\n"[..]).is_err());
+        assert!(
+            read_reply(&mut &b"{\"v\": 9, \"index\": 0, \"ok\": true, \"len\": 0}\n"[..]).is_err()
+        );
+    }
+
+    #[test]
+    fn frame_readers_reject_bad_headers_and_short_bodies() {
+        let mut frame = Vec::new();
+        write_reply(&mut frame, 0, &Ok(b"payload".to_vec())).unwrap();
+        for cut in 1..frame.len() {
+            assert!(read_reply(&mut &frame[..cut]).is_err(), "cut at {cut}");
+        }
+        let cases: [&[u8]; 6] = [
+            b"{\"v\": 2, \"index\": 0, \"ok\": true}\n",
+            b"{\"v\": 2, \"ok\": true, \"len\": 0}\n",
+            b"{\"v\": 2, \"index\": 0, \"len\": 0}\n",
+            b"{\"v\": 2, \"index\": 0, \"ok\": false, \"len\": 1}\n\xff",
+            b"\xff\n",
+            b"{\"v\": 2, \"index\": 0, \"ok\": true, \"len\": 18446744073709551615}\n",
+        ];
+        for bytes in cases {
+            assert!(read_reply(&mut &bytes[..]).is_err(), "{bytes:?}");
+        }
+        let long = vec![b' '; MAX_HEADER_LEN as usize + 1];
+        assert!(read_reply(&mut long.as_slice()).is_err());
     }
 
     #[test]
@@ -949,7 +1070,7 @@ mod tests {
         let done = |i: usize| {
             ShardOutcome::Done(ShardResult {
                 index: i,
-                payload: format!("p{i}"),
+                payload: vec![i as u8],
             })
         };
         c.offer(done(2)).unwrap();
@@ -983,7 +1104,7 @@ mod tests {
         assert_eq!(runs[0].stats.committed, 37);
         assert_eq!(runs[0].stats.lost, 0);
         match &runs[0].outcomes[5] {
-            ShardOutcome::Done(r) => assert_eq!(r.payload, "10"),
+            ShardOutcome::Done(r) => assert_eq!(r.payload, b"10"),
             other => panic!("unexpected outcome {other:?}"),
         }
     }
@@ -1066,8 +1187,8 @@ mod tests {
 
     #[test]
     fn process_backend_runs_shards_through_a_real_child() {
-        // `cat` echoes each spec line back; the reply decoder then rejects
-        // it as a protocol violation (a spec line is not a reply line), so
+        // `cat` echoes each spec frame back; the reply decoder then rejects
+        // it as a protocol violation (a spec header has no `ok` flag), so
         // this exercises spawn, send, receive, and malformed handling
         // without needing a real worker binary.
         let backend = ProcessBackend {
@@ -1079,6 +1200,64 @@ mod tests {
         assert_eq!(run.outcomes.len(), 3);
         assert_eq!(run.stats.lost + run.stats.committed, 3);
         assert!(run.stats.malformed > 0, "cat replies must be malformed");
+    }
+
+    /// A worker that answers every spec with the given bytes, then keeps
+    /// reading its stdin until the parent kills it.
+    fn scripted_worker(reply: &str) -> ProcessBackend {
+        ProcessBackend {
+            worker_cmd: vec![
+                "sh".to_string(),
+                "-c".to_string(),
+                format!("printf '{reply}'; exec cat > /dev/null"),
+            ],
+            timeout_ms: 5_000,
+            max_respawns: 0,
+        }
+    }
+
+    #[test]
+    fn process_backend_loses_a_reply_announcing_more_than_the_cap() {
+        // Far above the cap: reading the body, or allocating for it, would
+        // stall or abort instead of failing fast.
+        let len = 1u64 << 40;
+        let backend = scripted_worker(&format!(
+            r#"{{"v": 2, "index": 0, "ok": true, "len": {len}}}\n"#
+        ));
+        let run = backend.run(Some(1), specs(1), &double).unwrap();
+        assert_eq!(run.stats.malformed, 1);
+        assert_eq!(run.stats.reply_bytes, 0);
+        assert!(matches!(
+            &run.outcomes[0],
+            ShardOutcome::Lost { error, .. } if error.contains("cap")
+        ));
+    }
+
+    #[test]
+    fn process_backend_rejects_a_v1_reply_line() {
+        let backend = scripted_worker(r#"{"v": 1, "index": 0, "ok": true, "payload": "0"}\n"#);
+        let run = backend.run(Some(1), specs(1), &double).unwrap();
+        assert_eq!(run.stats.malformed, 1);
+        assert!(matches!(
+            &run.outcomes[0],
+            ShardOutcome::Lost { error, .. } if error.contains("version")
+        ));
+    }
+
+    #[test]
+    fn process_backend_counts_reply_bytes() {
+        let reply = r#"{"v": 2, "index": 0, "ok": true, "len": 2}\n42"#;
+        let run = scripted_worker(reply)
+            .run(Some(1), specs(1), &double)
+            .unwrap();
+        assert_eq!(
+            run.outcomes[0],
+            ShardOutcome::Done(ShardResult {
+                index: 0,
+                payload: b"42".to_vec(),
+            })
+        );
+        assert_eq!(run.stats.reply_bytes, reply.len() as u64 - 1);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::sync::{Mutex, MutexGuard};
 pub mod backend;
 
 pub use backend::{
-    decode_reply, encode_reply, Backend, BackendChoice, BackendParseError, BackendRun,
-    BackendStats, CommitError, Committer, ExecFn, MockRemoteBackend, ProcessBackend, ShardOutcome,
+    read_reply, write_reply, Backend, BackendChoice, BackendParseError, BackendRun, BackendStats,
+    CommitError, Committer, ExecFn, MockRemoteBackend, ProcessBackend, Reply, ShardOutcome,
     ShardResult, ShardSpec, ThreadBackend,
 };
 

@@ -12,17 +12,17 @@ fn specs(n: usize) -> Vec<ShardSpec> {
             group: "persona".to_string(),
             index: i,
             label: format!("persona-{i}"),
-            payload: format!("{i}"),
+            payload: i.to_string().into_bytes(),
         })
         .collect()
 }
 
-fn exec(spec: &ShardSpec) -> Result<String, String> {
-    let n: u64 = spec
-        .payload
-        .parse()
-        .map_err(|_| "bad payload".to_string())?;
-    Ok(format!("{:016x}", n.wrapping_mul(0x9e3779b97f4a7c15)))
+fn exec(spec: &ShardSpec) -> Result<Vec<u8>, String> {
+    let n: u64 = std::str::from_utf8(&spec.payload)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| "bad payload".to_string())?;
+    Ok(n.wrapping_mul(0x9e3779b97f4a7c15).to_le_bytes().to_vec())
 }
 
 fn profile(name: &str) -> FaultProfile {

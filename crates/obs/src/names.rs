@@ -68,6 +68,7 @@ pub const REGISTRY: &[&str] = &[
     "web.ecosystem",           // stage: web ad-ecosystem construction
     "worker.crashes",          // volatile: worker crashes (exit / dead pipe / EOF)
     "worker.malformed",        // volatile: protocol violations from workers
+    "worker.reply_bytes",      // volatile: reply frame bytes read from workers
     "worker.respawned",        // volatile: workers replaced after a failure
     "worker.spawned",          // volatile: workers started for the initial pool
     "worker.timeouts",         // volatile: per-shard timeouts that killed a worker
