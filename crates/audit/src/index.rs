@@ -23,52 +23,15 @@
 //! observations, so the index — and everything rendered from it — is a pure
 //! function of the observable record, independent of thread count.
 
+use crate::addr::{arc_key, AddrMap, AddrSet};
 use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
 use alexa_adtech::{AudioAdExtractor, StreamingService};
 use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::FlowExtractor;
-// analyzer:allow(AD03) -- Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::Arc;
-
-/// Identity key of a shared label: the `Arc` allocation address.
-///
-/// The crawl's org, bidder and slot labels are `Arc<str>`s cloned from a
-/// small fixed set, so memoizing a per-string computation by allocation
-/// address replaces hundreds of thousands of string-keyed tree lookups
-/// with hash hits. Distinct allocations holding equal text merely recompute
-/// the same value, so results stay a pure function of the string content.
-#[inline]
-fn arc_key(s: &Arc<str>) -> usize {
-    Arc::as_ptr(s) as *const u8 as usize
-}
-
-/// Fibonacci-multiply hasher for the `usize` allocation-address keys above —
-/// the default SipHash costs more than the lookups it replaces.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl std::hash::Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-// analyzer:allow(AD03) -- lookup-only memo keyed by Arc pointer address; iteration order never reaches an output
-type AddrMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<AddrHasher>>;
-// analyzer:allow(AD03) -- lookup-only dedup set keyed by Arc pointer address; never iterated
-type AddrSet = HashSet<usize, std::hash::BuildHasherDefault<AddrHasher>>;
 
 /// An interned label: index into the run's [`Interner`].
 pub type Sym = u32;

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod addr;
 pub mod analysis;
 pub mod artifacts;
 pub mod experiment;

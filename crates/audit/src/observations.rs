@@ -108,58 +108,30 @@ impl Observations {
     ///
     /// Two runs produce the same digest iff every observable — captures,
     /// bids, transcripts, DSAR exports, policies, catalog, org database —
-    /// rendered identically. The determinism tests use this to enforce the
+    /// encodes identically. The determinism tests use this to enforce the
     /// engine's core invariant: for a fixed config, sequential and parallel
     /// execution are byte-identical.
     ///
-    /// All fields except `orgs` are `Vec`s or `BTreeMap`s, whose `Debug`
-    /// rendering is already canonical; `orgs` is backed by a `HashMap` and
-    /// is hashed through its sorted-entries view instead.
+    /// The hash is FNV-1a over the canonical encoding of the shard wire's
+    /// byte codec (DESIGN.md §15): captures, crawl visits, audio, DSAR
+    /// exports and failed installs through their wire encoders, then the
+    /// `Debug` text of the few fields the codec has no encoder for. `orgs`
+    /// is backed by a `HashMap` and is hashed through its sorted-entries
+    /// view. The encoding is streamed through one bounded buffer and never
+    /// held whole.
     pub fn digest(&self) -> u64 {
-        use std::fmt::Write as _;
+        self.digest_with_len().0
+    }
 
-        /// Streams formatted text straight into an FNV-1a accumulator, so
-        /// the canonical rendering is never materialized.
-        struct FnvWriter(u64);
-
-        impl std::fmt::Write for FnvWriter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for b in s.bytes() {
-                    self.0 ^= b as u64;
-                    self.0 = self.0.wrapping_mul(0x100000001b3);
-                }
-                Ok(())
-            }
-        }
-
-        let mut w = FnvWriter(0xcbf29ce484222325);
-        // FnvWriter::write_str never fails; the Results are discardable.
-        let _ = write!(
-            w,
-            "{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            self.seed,
-            self.pre_iterations,
-            self.post_iterations,
-            self.router_captures,
-            self.avs_captures,
-            self.crawl,
-            self.audio,
-            self.dsar,
-            self.policies,
-            self.catalog,
-            self.failed_installs,
-            self.orgs.entries_sorted(),
-        );
-        // Coverage joins the digest only for faulted runs: the `none`
-        // profile must stay byte-identical to pre-fault-plane baselines,
-        // while any active profile holds its coverage accounting to the
-        // same jobs-independence contract as the observables.
-        if self.coverage.profile != "none" {
-            let _ = write!(w, "|{:?}", self.coverage);
-        }
-        w.0
+    /// [`Observations::digest`] and the number of canonical bytes it
+    /// hashed, the digest's deterministic work units.
+    pub fn digest_with_len(&self) -> (u64, u64) {
+        crate::wire::hash_observations(self, DIGEST_FOLD_BYTES)
     }
 }
+
+/// Buffered canonical bytes at which the digest folds them into its hash.
+const DIGEST_FOLD_BYTES: usize = 64 * 1024;
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,5 @@
-//! Wire codecs for the shard fan-out (DESIGN.md §15).
+//! Wire codecs for the shard fan-out (DESIGN.md §15), and the canonical
+//! encoding the observations digest hashes.
 //!
 //! When shards execute outside the parent process (`--backend process`) or
 //! through the mock remote, their outputs cross a wire as bytes, written by
@@ -12,6 +13,10 @@
 //! in-process — the foundation of the cross-backend byte-identical-bundle
 //! guarantee.
 //!
+//! The same encoders define the canonical bytes of a whole
+//! [`Observations`] record ([`write_observations`]); `Observations::digest`
+//! streams them into an FNV-1a hash without holding the encoding.
+//!
 //! The decoders return `None` on any malformed input and never panic: every
 //! length prefix is checked against the remaining input before anything is
 //! allocated, and every `Domain` is re-validated through [`Domain::parse`].
@@ -20,10 +25,13 @@
 //! JSON: it reuses [`FaultProfile`]'s wire form, and workers key their
 //! memoized world on its text.
 //!
-//! Everything is `pub(crate)`: the only consumers are the fan-out in
-//! [`crate::experiment`] and the worker loop in [`crate::worker`].
+//! Everything is `pub(crate)`: the consumers are the fan-out in
+//! [`crate::experiment`], the worker loop in [`crate::worker`] and the
+//! digest in [`crate::observations`].
 
+use crate::addr::{arc_key, AddrMap};
 use crate::experiment::{AuditConfig, AvsShard, DefenseMode, PersonaShard, ShardAlloc};
+use crate::observations::Observations;
 use alexa_adtech::{Bid, Creative, StreamingService, SyncObservation, VisitRecord};
 use alexa_fault::{Coverage, FaultChannel, FaultLedger, FaultProfile};
 use alexa_net::{Capture, DataType, Direction, Domain, Packet, Payload, Record};
@@ -103,13 +111,68 @@ pub(crate) fn config_from_json(j: &Json) -> Option<AuditConfig> {
 // ---- Byte primitives ------------------------------------------------------
 
 /// Appends values to one byte buffer; see the module docs for the format.
+///
+/// A writer made with a finite `fold_at` keeps no encoding: whenever a
+/// sequence item leaves `fold_at` or more bytes buffered, it folds the
+/// buffer into its running FNV-1a hash and reuses it, so its memory stays
+/// bounded by `fold_at` plus one item however long the encoding grows.
 pub(crate) struct ByteWriter {
     buf: Vec<u8>,
-    /// Interned labels of this buffer, by first-occurrence index.
+    /// Interned labels of the current section, by first-occurrence index.
+    /// Keyed by text: equal text in distinct allocations shares one index.
     labels: BTreeMap<Arc<str>, u64>,
+    /// The same indices keyed by allocation address, probed first. A miss
+    /// falls through to `labels`. Each entry holds its `Arc`, so no other
+    /// text can take over a memoized address.
+    memo: AddrMap<(u64, Arc<str>)>,
+    /// FNV-1a state over the bytes folded out of `buf`.
+    hash: u64,
+    /// Bytes folded out of `buf`.
+    folded: u64,
+    /// Buffer size at which an item boundary folds; `usize::MAX` keeps the
+    /// whole encoding in `buf`.
+    fold_at: usize,
 }
 
 impl ByteWriter {
+    fn new(fold_at: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::new(),
+            labels: BTreeMap::new(),
+            memo: AddrMap::default(),
+            hash: 0xcbf2_9ce4_8422_2325,
+            folded: 0,
+            fold_at,
+        }
+    }
+
+    /// Fold the buffer into the hash once it holds `fold_at` bytes.
+    fn maybe_fold(&mut self) {
+        if self.buf.len() >= self.fold_at {
+            self.fold();
+        }
+    }
+
+    fn fold(&mut self) {
+        for &b in &self.buf {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        self.folded += self.buf.len() as u64;
+        self.buf.clear();
+    }
+
+    /// The FNV-1a hash of everything written, and its length in bytes.
+    fn finish_hash(mut self) -> (u64, u64) {
+        self.fold();
+        (self.hash, self.folded)
+    }
+
+    /// Start a section: labels from here on are interned in a fresh table.
+    fn section(&mut self) {
+        self.labels.clear();
+        self.memo.clear();
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -141,14 +204,24 @@ impl ByteWriter {
 
     /// `0` then the text on a label's first occurrence, `index + 1` after.
     fn label(&mut self, s: &Arc<str>) {
-        if let Some(&i) = self.labels.get(&**s) {
+        if let Some(&(i, _)) = self.memo.get(&arc_key(s)) {
             self.varint(i + 1);
             return;
         }
-        let i = self.labels.len() as u64;
-        self.labels.insert(Arc::clone(s), i);
-        self.varint(0);
-        self.str(s);
+        let i = match self.labels.get(&**s) {
+            Some(&i) => {
+                self.varint(i + 1);
+                i
+            }
+            None => {
+                let i = self.labels.len() as u64;
+                self.labels.insert(Arc::clone(s), i);
+                self.varint(0);
+                self.str(s);
+                i
+            }
+        };
+        self.memo.insert(arc_key(s), (i, Arc::clone(s)));
     }
 
     /// A variant as its position in `all`, which lists every variant. A
@@ -162,7 +235,26 @@ impl ByteWriter {
         self.usize(items.len());
         for x in items {
             item(self, x);
+            self.maybe_fold();
         }
+    }
+
+    /// A map as a sequence of its entries, in key order.
+    fn entries<K, V>(&mut self, map: &BTreeMap<K, V>, mut entry: impl FnMut(&mut Self, &K, &V)) {
+        self.usize(map.len());
+        for (k, v) in map {
+            entry(self, k, v);
+            self.maybe_fold();
+        }
+    }
+}
+
+/// Raw text, for the digest's `Debug`-rendered fields.
+impl std::fmt::Write for ByteWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.buf.extend_from_slice(s.as_bytes());
+        self.maybe_fold();
+        Ok(())
     }
 }
 
@@ -266,10 +358,7 @@ impl<'a> ByteReader<'a> {
 
 /// Encode one value with a fresh label table.
 pub(crate) fn to_bytes(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-    let mut w = ByteWriter {
-        buf: Vec::new(),
-        labels: BTreeMap::new(),
-    };
+    let mut w = ByteWriter::new(usize::MAX);
     write(&mut w);
     w.buf
 }
@@ -589,6 +678,76 @@ pub(crate) fn read_shard_alloc(r: &mut ByteReader<'_>) -> Option<ShardAlloc> {
     })
 }
 
+// ---- Observations digest ---------------------------------------------------
+
+/// Write the canonical encoding of `obs`, the bytes `Observations::digest`
+/// hashes.
+///
+/// A header (seed, pre and post iterations), then one section each for
+/// every persona's router captures, the AVS captures, every persona's crawl
+/// visits, the audio transcripts, the DSAR exports and the failed installs,
+/// each with a fresh label table. The fields the codec has no encoder for
+/// follow as `|`-separated `Debug` text: policies, catalog, the org
+/// database and, on faulted runs, the coverage report.
+pub(crate) fn write_observations(w: &mut ByteWriter, obs: &Observations) {
+    use std::fmt::Write as _;
+
+    w.varint(obs.seed);
+    w.usize(obs.pre_iterations);
+    w.usize(obs.post_iterations);
+    w.entries(&obs.router_captures, |w, persona, captures| {
+        w.section();
+        w.str(persona);
+        write_captures(w, captures);
+    });
+    w.section();
+    write_captures(w, &obs.avs_captures);
+    w.entries(&obs.crawl, |w, persona, visits| {
+        w.section();
+        w.str(persona);
+        w.seq(visits, write_visit);
+    });
+    w.section();
+    w.entries(&obs.audio, |w, (persona, service), transcripts| {
+        w.str(persona);
+        w.variant(&StreamingService::ALL, service);
+        write_strings(w, transcripts);
+    });
+    w.section();
+    w.entries(&obs.dsar, |w, (persona, phase), export| {
+        w.str(persona);
+        w.variant(&PHASES, phase);
+        write_dsar(w, export);
+    });
+    w.section();
+    w.entries(&obs.failed_installs, |w, persona, skills| {
+        w.str(persona);
+        write_strings(w, skills);
+    });
+    w.section();
+    // ByteWriter::write_str never fails; the Results are discardable.
+    let _ = write!(
+        w,
+        "{:?}|{:?}|{:?}",
+        obs.policies,
+        obs.catalog,
+        obs.orgs.entries_sorted()
+    );
+    // Coverage joins only on faulted runs: a `none` run's digest covers
+    // the observables alone, as it did before the fault plane existed.
+    if obs.coverage.profile != "none" {
+        let _ = write!(w, "|{:?}", obs.coverage);
+    }
+}
+
+/// FNV-1a of [`write_observations`]'s bytes, streamed through a buffer
+/// folded every `fold_at` bytes, and the number of bytes hashed.
+pub(crate) fn hash_observations(obs: &Observations, fold_at: usize) -> (u64, u64) {
+    let mut w = ByteWriter::new(fold_at);
+    write_observations(&mut w, obs);
+    w.finish_hash()
+}
+
 // ---- Worker replies ---------------------------------------------------------
 
 /// The body of a worker's `ok` reply: the shard, the log's allocation
@@ -719,7 +878,7 @@ mod tests {
         assert_eq!(a.syncs, b.syncs);
         assert_eq!(a.bids[0].bidder, b.bids[0].bidder);
         assert_eq!(a.bids[0].cpm.to_bits(), b.bids[0].cpm.to_bits());
-        // Debug-render equality is what the digest actually hashes.
+        // Debug-render equality is what the legacy digest reference hashes.
         assert_eq!(format!("{:?}", a.bids), format!("{:?}", b.bids));
     }
 
@@ -844,6 +1003,73 @@ mod tests {
             &first.syncs[0].user_id,
             &second.syncs[0].user_id
         ));
+    }
+
+    /// The label table is keyed by text: labels in distinct allocations
+    /// encode exactly as one shared allocation does, whatever the address
+    /// memo has seen.
+    #[test]
+    fn distinct_arcs_with_equal_text_encode_as_one_shared_arc() {
+        let visit = |label: &dyn Fn(&str) -> Arc<str>| VisitRecord {
+            site: "news.example".into(),
+            iteration: 1,
+            bids: vec![
+                Bid {
+                    bidder: label("adx.example"),
+                    slot_id: label("news.example#1"),
+                    cpm: 0.5,
+                },
+                Bid {
+                    bidder: label("adx.example"),
+                    slot_id: label("news.example#1"),
+                    cpm: 0.25,
+                },
+            ],
+            creatives: Vec::new(),
+            syncs: vec![SyncObservation {
+                from_org: label("adx.example"),
+                to_org: label("b.example"),
+                user_id: label("uid-1"),
+            }],
+        };
+        let shared: BTreeMap<&str, Arc<str>> =
+            ["adx.example", "news.example#1", "b.example", "uid-1"]
+                .into_iter()
+                .map(|t| (t, Arc::from(t)))
+                .collect();
+        let one_arc = [
+            visit(&|t| Arc::clone(&shared[t])),
+            visit(&|t| Arc::clone(&shared[t])),
+        ];
+        let fresh = [visit(&|t| Arc::from(t)), visit(&|t| Arc::from(t))];
+        let encode = |vs: &[VisitRecord]| to_bytes(|w| w.seq(vs, write_visit));
+        assert_eq!(encode(&fresh), encode(&one_arc));
+        // Four distinct texts: after the first visit, every label is a
+        // back-reference.
+        let bytes = encode(&one_arc);
+        let single = encode(&one_arc[..1]);
+        assert!(bytes.len() < 2 * single.len());
+    }
+
+    /// The streamed digest is the FNV-1a of the concatenated section bytes,
+    /// for any flush size.
+    #[test]
+    fn streamed_hash_matches_the_whole_encoding_at_any_flush_size() {
+        let obs =
+            crate::AuditRun::execute(AuditConfig::small(7).with_faults(FaultProfile::flaky()));
+        let bytes = to_bytes(|w| write_observations(w, &obs));
+        let mut want = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bytes {
+            want = (want ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        for fold_at in [0, 1, 7, 4096, 64 * 1024, usize::MAX] {
+            assert_eq!(
+                hash_observations(&obs, fold_at),
+                (want, bytes.len() as u64),
+                "fold at {fold_at}"
+            );
+        }
+        assert_eq!(obs.digest_with_len(), (want, bytes.len() as u64));
     }
 
     #[test]

@@ -2,30 +2,133 @@
 //! faults, coverage monotonicity, and graceful degradation at 100% fault
 //! rate. These are the robustness counterparts of `tests/determinism.rs`.
 
+use alexa_adtech::VisitRecord;
 use alexa_audit::analysis::defense;
 use alexa_audit::report::full_report;
-use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
+use alexa_audit::{AuditConfig, AuditRun, DefenseMode, Observations};
 use alexa_fault::FaultProfile;
+use alexa_net::Domain;
 use alexa_obs::Recorder;
+use std::sync::Arc;
 
 fn digest(cfg: AuditConfig) -> u64 {
     AuditRun::execute(cfg).digest()
 }
 
-/// The fault plane must be invisible under `none`: these are the digests the
-/// pipeline produced before the plane existed (pinned from main).
+/// The digest as it was defined before it moved onto the wire codec:
+/// FNV-1a over the `Debug` text of the whole record. Frozen here as a
+/// test-only reference, so the pre-fault-plane pins keep holding the
+/// observables themselves, whatever encoding the digest uses.
+fn legacy_debug_digest(o: &Observations) -> u64 {
+    use std::fmt::Write as _;
+
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
+            }
+            Ok(())
+        }
+    }
+
+    let mut w = Fnv(0xcbf29ce484222325);
+    write!(
+        w,
+        "{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        o.seed,
+        o.pre_iterations,
+        o.post_iterations,
+        o.router_captures,
+        o.avs_captures,
+        o.crawl,
+        o.audio,
+        o.dsar,
+        o.policies,
+        o.catalog,
+        o.failed_installs,
+        o.orgs.entries_sorted(),
+    )
+    .unwrap();
+    if o.coverage.profile != "none" {
+        write!(w, "|{:?}", o.coverage).unwrap();
+    }
+    w.0
+}
+
+/// The fault plane must be invisible under `none`. The legacy column holds
+/// the digests the pipeline produced before the plane existed (pinned from
+/// main); the canonical column pins `Observations::digest` of the same
+/// records, whose encoding is the wire codec's.
 #[test]
 fn none_profile_preserves_pre_fault_plane_digests() {
-    for (seed, want) in [
-        (7u64, 0xb110b63e303dd95au64),
-        (1234, 0xf39b00cfbb080c04),
-        (2222, 0x76a4be4df33e5c1c),
+    for (seed, legacy, canonical) in [
+        (7u64, 0xb110b63e303dd95au64, 0x30984eb7be66518bu64),
+        (1234, 0xf39b00cfbb080c04, 0xe78179ad49f6d6f9),
+        (2222, 0x76a4be4df33e5c1c, 0xc1fe834689b4779b),
     ] {
+        let obs = AuditRun::execute(AuditConfig::small(seed));
         assert_eq!(
-            digest(AuditConfig::small(seed)),
-            want,
-            "seed {seed}: none-profile digest drifted from baseline"
+            legacy_debug_digest(&obs),
+            legacy,
+            "seed {seed}: none-profile observables drifted from baseline"
         );
+        assert_eq!(
+            obs.digest(),
+            canonical,
+            "seed {seed}: canonical digest drifted from its pin"
+        );
+    }
+}
+
+/// Every observable reaches the digest: one small edit anywhere in a
+/// faulted record changes it.
+#[test]
+fn every_observable_edit_changes_the_digest() {
+    fn visits(o: &mut Observations) -> impl Iterator<Item = &mut VisitRecord> {
+        o.crawl.values_mut().flatten()
+    }
+    let base = AuditRun::execute(AuditConfig::small(7).with_faults(FaultProfile::flaky()));
+    type Edit = (&'static str, fn(&mut Observations));
+    let edits: [Edit; 6] = [
+        ("one-bit cpm flip", |o| {
+            let bid = visits(o).find_map(|v| v.bids.first_mut()).unwrap();
+            bid.cpm = f64::from_bits(bid.cpm.to_bits() ^ 1);
+        }),
+        ("two swapped bids", |o| {
+            let visit = visits(o)
+                .find(|v| v.bids.len() >= 2 && v.bids[0] != v.bids[1])
+                .unwrap();
+            visit.bids.swap(0, 1);
+        }),
+        ("one sync user_id", |o| {
+            let sync = visits(o).find_map(|v| v.syncs.first_mut()).unwrap();
+            sync.user_id = Arc::from(format!("{}0", sync.user_id));
+        }),
+        ("one packet's remote", |o| {
+            let packet = o
+                .router_captures
+                .values_mut()
+                .flatten()
+                .find_map(|c| c.packets.first_mut())
+                .unwrap();
+            packet.remote = Domain::parse("edited.example.com").unwrap();
+        }),
+        ("one policy document", |o| {
+            let doc = o.policies.values_mut().flatten().next().unwrap();
+            doc.text.push('.');
+        }),
+        ("one coverage count", |o| {
+            let section = o.coverage.sections.values_mut().next().unwrap();
+            section.observed += 1;
+        }),
+    ];
+    let want = base.digest();
+    for (name, edit) in edits {
+        let mut edited = base.clone();
+        edit(&mut edited);
+        assert_ne!(edited.digest(), want, "{name} left the digest unchanged");
     }
 }
 

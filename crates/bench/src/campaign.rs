@@ -523,7 +523,14 @@ fn execute_cells(
         .with_backend(backend)
         .with_worker_cmd(worker_cmd.to_vec());
         let obs = AuditRun::execute_with(config, &cell_rec);
-        let mut spec = cell_spec(plan_hash, coord, &fault, obs.digest());
+        // Work units: canonical bytes hashed, the same for every jobs count
+        // and backend.
+        let digest = cell_rec.stage("digest", || {
+            let (digest, bytes) = obs.digest_with_len();
+            cell_rec.stage_work(bytes);
+            digest
+        });
+        let mut spec = cell_spec(plan_hash, coord, &fault, digest);
         spec.coverage = Some(obs.coverage.to_json());
         let report = cell_rec.report();
         write_bundle(&cell_dir, &spec, &report).map_err(|e| io_err(&cell_dir, e))?;

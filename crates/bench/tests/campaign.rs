@@ -124,6 +124,20 @@ fn plan_parse_errors_are_typed_and_exit_2() {
     }
 }
 
+/// A plan nested far past the JSON parser's depth cap is a typed syntax
+/// error, not a stack overflow (which aborts with exit 134).
+#[test]
+fn deeply_nested_plan_exits_2() {
+    let dir = scratch("deep-plan");
+    let plan = dir.join("deep.json");
+    std::fs::write(&plan, "[".repeat(200_000)).expect("write plan");
+    let out = run_campaign(&plan, &dir.join("out"));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("plan is not valid JSON"), "{err}");
+    assert!(err.contains("nesting"), "{err}");
+}
+
 #[test]
 fn missing_plan_exits_2() {
     let dir = scratch("missing-plan");

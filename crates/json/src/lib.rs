@@ -9,4 +9,4 @@
 
 mod json;
 
-pub use json::{Json, JsonParseError};
+pub use json::{Json, JsonParseError, MAX_DEPTH};

@@ -32,8 +32,10 @@ use std::path::{Path, PathBuf};
 /// History: 1 = four-file bundle (manifest/metrics/trace/profile); 2 =
 /// adds `memory.json` plus allocation-delta fields on trace spans and
 /// metrics aggregates; 3 = drops the `aggregates` block from
-/// `metrics.json` (shard counters are the only metrics path).
-pub const SCHEMA_VERSION: u64 = 3;
+/// `metrics.json` (shard counters are the only metrics path); 4 = the
+/// manifest's `observations_digest` hashes the wire codec's canonical
+/// encoding instead of the record's `Debug` text.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// File name of the bundle manifest.
 pub const MANIFEST_FILE: &str = "manifest.json";

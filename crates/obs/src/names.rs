@@ -38,6 +38,7 @@ pub const REGISTRY: &[&str] = &[
     "crawl.pre",               // span: web crawl before interactions
     "crawl.syncs",             // counter: cookie syncs captured across crawl visits
     "crawl.visits",            // counter + coverage section: crawl page visits
+    "digest",                  // stage: observations digest of a campaign cell
     "dsar.after_install",      // span: DSAR export after installs
     "dsar.after_interaction1", // span: DSAR export after first interaction round
     "dsar.after_interaction2", // span: DSAR export after second interaction round

@@ -134,6 +134,22 @@ impl Recorder {
         out
     }
 
+    /// Add `n` work units to the innermost open stage, for stages that do
+    /// their work on the orchestration thread rather than in shards. A
+    /// call with no stage open records nothing.
+    pub fn stage_work(&self, n: u64) {
+        if !self.enabled {
+            return;
+        }
+        let _quiet = alloc::pause();
+        let mut g = self.locked();
+        if let Some(si) = g.open_stages.last().copied() {
+            if let Some(s) = g.stages.get_mut(si) {
+                s.work += n;
+            }
+        }
+    }
+
     /// Open a shard log for the unit of work at `index` within `group`.
     ///
     /// The log is filled lock-free by the owning worker and handed back via
@@ -307,6 +323,19 @@ mod tests {
         assert_eq!(r.shards[2].work, 11);
         assert_eq!(r.shards[0].stage, "");
         assert_eq!(r.shards[0].work, 5);
+    }
+
+    #[test]
+    fn stage_work_attributes_to_the_innermost_open_stage() {
+        let rec = Recorder::new();
+        rec.stage_work(3);
+        rec.stage("outer", || {
+            rec.stage("digest", || rec.stage_work(40));
+            rec.stage_work(2);
+        });
+        let r = rec.report();
+        let works: Vec<(&str, u64)> = r.stages.iter().map(|s| (s.name.as_str(), s.work)).collect();
+        assert_eq!(works, vec![("outer", 2), ("digest", 40)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! real-audit round-trip.
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_obs::bundle::{write_bundle, BundleSpec, MANIFEST_FILE};
+use alexa_obs::bundle::{write_bundle, BundleSpec, MANIFEST_FILE, METRICS_FILE};
 use alexa_obs::{Json, Recorder};
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, Severity};
 use std::path::{Path, PathBuf};
@@ -238,6 +238,43 @@ fn future_schema_versions_are_rejected() {
         Err(BundleError::SchemaMismatch { found, .. }) => assert_eq!(found, 99),
         other => panic!("expected SchemaMismatch, got {other:?}"),
     }
+}
+
+/// Bundles of schema 3 hashed the record's `Debug` text into
+/// `observations_digest`; comparing one with a schema-4 bundle would report
+/// a false determinism regression, so it is refused instead.
+#[test]
+fn schema_3_bundles_are_refused() {
+    let dir = fresh_dir("schema-3");
+    synthetic(&dir, 7, 100, false);
+    std::fs::write(
+        dir.join(MANIFEST_FILE),
+        "{\"schema\": 3, \"seed\": 7, \"fault_profile\": \"none\", \"observations_digest\": \"00\"}\n",
+    )
+    .expect("rewrite");
+    match load_bundle(&dir) {
+        Err(BundleError::SchemaMismatch { found, .. }) => assert_eq!(found, 3),
+        other => panic!("expected SchemaMismatch, got {other:?}"),
+    }
+}
+
+/// A `metrics.json` nested far past the JSON parser's depth cap makes
+/// `obs-diff diff` exit 2 with a typed error, not abort on a stack
+/// overflow (exit 134).
+#[test]
+fn deeply_nested_metrics_exits_2() {
+    let (da, db) = (fresh_dir("deep-a"), fresh_dir("deep-b"));
+    synthetic(&da, 7, 100, false);
+    synthetic(&db, 7, 100, false);
+    std::fs::write(db.join(METRICS_FILE), "[".repeat(200_000)).expect("rewrite");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs-diff"))
+        .arg("diff")
+        .args([&da, &db])
+        .output()
+        .expect("run obs-diff");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("nesting"), "{err}");
 }
 
 #[test]
